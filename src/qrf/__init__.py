@@ -48,7 +48,14 @@ from .grids import (
     to_representation,
 )
 from .observables import Observable
-from .dense import DenseOperator, dense_momentum, dense_observable, dense_position, dense_shear
+from .dense import (
+    DenseOperator,
+    dense_momentum,
+    dense_observable,
+    dense_position,
+    dense_shear,
+    trivialization_family_check,
+)
 from .physical import (
     GridHamiltonian,
     PhysicalState,
@@ -57,7 +64,6 @@ from .physical import (
     physical_state,
     reduced_quantum_hamiltonian,
     reexpress,
-    trivialization_family_check,
 )
 from .switching import (
     FrameSwitch,

@@ -26,6 +26,9 @@ CONSTRAINT_TOL = 1e-9
 #: Central-difference step for numerical Poisson brackets.
 BRACKET_FD_STEP = 1e-5
 
+#: Central-difference step for potentials given without an analytic gradient.
+GRADIENT_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class FrameLabel:
@@ -141,18 +144,30 @@ class ReducedPhasePoint:
         return tuple(i for i in range(self.n) if i != self.frame.index)
 
 
+def _central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
+    """Gradient of the scalar function f at x by central differences of step h."""
+    grad = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        shifted = x.copy()
+        shifted[i] = x[i] + h
+        plus = f(shifted)
+        shifted[i] = x[i] - h
+        minus = f(shifted)
+        grad[i] = (plus - minus) / (2 * h)
+    return grad
+
+
 class Potential:
     """Translation-invariant interaction energy V({q_i - q_j}).
 
     Wraps an energy callable over the full position list plus an optional
     analytic gradient; missing gradients fall back to central finite
-    differences with step ``fd_step``.
+    differences with step ``GRADIENT_FD_STEP``.
     """
 
-    def __init__(self, energy, gradient=None, fd_step: float = 1e-6):
+    def __init__(self, energy, gradient=None):
         self._energy = energy
         self._gradient = gradient
-        self.fd_step = fd_step
 
     def __call__(self, q) -> float:
         return float(self._energy(np.asarray(q, dtype=float)))
@@ -161,16 +176,7 @@ class Potential:
         q = np.asarray(q, dtype=float)
         if self._gradient is not None:
             return np.asarray(self._gradient(q), dtype=float)
-        h = self.fd_step
-        grad = np.empty_like(q)
-        for i in range(q.shape[0]):
-            shifted = q.copy()
-            shifted[i] = q[i] + h
-            plus = self._energy(shifted)
-            shifted[i] = q[i] - h
-            minus = self._energy(shifted)
-            grad[i] = (plus - minus) / (2 * h)
-        return grad
+        return _central_difference(self._energy, q, GRADIENT_FD_STEP)
 
     def translation_defect(self, q, shift: float) -> float:
         """|V(q + shift) - V(q)|; zero (to rounding) for invariant potentials."""
@@ -261,22 +267,8 @@ def classical_frame_switch(rp: ReducedPhasePoint, new_frame: FrameLabel) -> Redu
 
 def _fd_gradients(f, q, p, h):
     """Central-difference gradients of f(q, p) with respect to q and p."""
-    n = q.shape[0]
-    dq = np.empty(n)
-    dp = np.empty(n)
-    for i in range(n):
-        qs = q.copy()
-        qs[i] = q[i] + h
-        plus = f(qs, p)
-        qs[i] = q[i] - h
-        minus = f(qs, p)
-        dq[i] = (plus - minus) / (2 * h)
-        ps = p.copy()
-        ps[i] = p[i] + h
-        plus = f(q, ps)
-        ps[i] = p[i] - h
-        minus = f(q, ps)
-        dp[i] = (plus - minus) / (2 * h)
+    dq = _central_difference(lambda qs: f(qs, p), q, h)
+    dp = _central_difference(lambda ps: f(q, ps), p, h)
     return dq, dp
 
 

@@ -5,19 +5,16 @@
     qrf suite [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 configuration problems, 3 numerical-invariant
-failures.  Diagnostics go to stderr; data only to files.  Set ``QRF_THREADS``
-to cap the linear-algebra thread pools.
+failures.  Diagnostics go to stderr; data only to files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError, NumericalFailure, QRFError, UnknownFigure
+from .errors import ConfigError, QRFError, UnknownFigure
 from .experiments import (
     ExperimentConfig,
     FIGURE_PRESETS,
@@ -25,32 +22,6 @@ from .experiments import (
     load_config,
     run_experiment,
 )
-
-
-@contextmanager
-def _thread_cap():
-    setting = os.environ.get("QRF_THREADS")
-    if not setting:
-        yield
-        return
-    try:
-        limit = int(setting)
-        if limit < 1:
-            raise ValueError
-    except ValueError:
-        print(f"qrf: ignoring invalid QRF_THREADS={setting!r}", file=sys.stderr)
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        # best effort only: affects libraries loaded after this point
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
-        yield
-        return
-    with threadpool_limits(limits=limit):
-        yield
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,23 +47,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with _thread_cap():
-            if args.command == "run":
-                manifest = run_experiment(load_config(args.config))
-            elif args.command == "figure":
-                manifest = emit_figure_data(args.name, args.out)
-            else:
-                config = ExperimentConfig(
-                    kind="invariant-suite", output_dir=args.out, seed=args.seed
-                )
-                manifest = run_experiment(config)
+        if args.command == "run":
+            manifest = run_experiment(load_config(args.config))
+        elif args.command == "figure":
+            manifest = emit_figure_data(args.name, args.out)
+        else:
+            config = ExperimentConfig(kind="invariant-suite", output_dir=args.out, seed=args.seed)
+            manifest = run_experiment(config)
     except (ConfigError, UnknownFigure) as exc:
         print(f"qrf: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        print(f"qrf: {exc}", file=sys.stderr)
-        return 3
-    except QRFError as exc:
+    except QRFError as exc:  # NumericalFailure and every other library error
         print(f"qrf: {exc}", file=sys.stderr)
         return 3
     for entry in manifest["files"]:

@@ -246,6 +246,13 @@ def to_representation(psi: WaveFunction, target: str) -> WaveFunction:
     return psi
 
 
+def to_matching(psi: WaveFunction, template: WaveFunction) -> WaveFunction:
+    """Convert psi's axes into the template's representation tags."""
+    for label, rep in zip(template.labels, template.representation):
+        psi = change_representation(psi, label, rep)
+    return psi
+
+
 def _check_compatible(psi: WaveFunction, phi: WaveFunction) -> None:
     if psi.labels != phi.labels:
         raise GridMismatch(f"axis labels differ: {psi.labels} vs {phi.labels}")
@@ -287,17 +294,13 @@ def apply_shear_phase(
         raise AxisClash(f"shear needs two distinct axes, got {pos_axis!r} twice")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    original = psi.representation
     work = change_representation(psi, pos_axis, POSITION)
     work = change_representation(work, mom_axis, MOMENTUM)
     i = work.axis(pos_axis)
     j = work.axis(mom_axis)
     x = _along_axis(work.subsystems[i][1].positions(), work.ndim, i)
     p = _along_axis(work.subsystems[j][1].momenta(), work.ndim, j)
-    sheared = work._with(work.amplitudes * np.exp(1j * sign * x * p))
-    for label, rep in zip(psi.labels, original):
-        sheared = change_representation(sheared, label, rep)
-    return sheared
+    return to_matching(work._with(work.amplitudes * np.exp(1j * sign * x * p)), psi)
 
 
 def reflect_axis(psi: WaveFunction, label: str) -> WaveFunction:

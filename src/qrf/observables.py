@@ -21,9 +21,14 @@ from numbers import Real
 import numpy as np
 
 from .errors import NonHermitianObservable
-from .grids import MOMENTUM, POSITION, WaveFunction, change_representation, inner_product
-
-_COEFF_TOL = 0.0  # exact zero test after arithmetic; cleanup only drops exact zeros
+from .grids import (
+    MOMENTUM,
+    POSITION,
+    WaveFunction,
+    change_representation,
+    inner_product,
+    to_matching,
+)
 
 # A monomial is a sorted tuple of ((label, kind), power) with kind in "qp".
 
@@ -168,7 +173,6 @@ class Observable:
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
         """Return O |psi> with each term applied in Weyl ordering."""
-        original = psi.representation
         result = None
         for mono, coeff in self._terms.items():
             term = _apply_monomial(psi, mono)
@@ -176,8 +180,7 @@ class Observable:
             result = arr if result is None else result + arr
         if result is None:
             result = np.zeros_like(psi.amplitudes)
-        out = WaveFunction(psi.subsystems, result, original, frame=psi.frame)
-        return out
+        return psi._with(result)
 
     def expectation(self, psi: WaveFunction) -> float:
         """<psi|O|psi> for a Hermitian observable (imaginary part asserted small)."""
@@ -197,13 +200,6 @@ def _as_observable(value) -> Observable:
     if isinstance(value, (Real, complex)):
         return Observable.constant(value)
     raise TypeError(f"cannot interpret {value!r} as an observable")
-
-
-def to_matching(psi: WaveFunction, template: WaveFunction) -> WaveFunction:
-    """Convert psi's axes into the template's representation tags."""
-    for label, rep in zip(template.labels, template.representation):
-        psi = change_representation(psi, label, rep)
-    return psi
 
 
 def _apply_power(psi: WaveFunction, label: str, kind: str, power: int) -> WaveFunction:
@@ -249,9 +245,4 @@ def commutator_expectation(psi: WaveFunction, a: Observable, b: Observable) -> c
     """<psi|[A, B]|psi> computed by operator application (not symbol algebra)."""
     ab = a.apply(b.apply(psi))
     ba = b.apply(a.apply(psi))
-    ab = to_matching(ab, psi)
-    ba = to_matching(ba, psi)
-    diff = WaveFunction(
-        psi.subsystems, ab.amplitudes - ba.amplitudes, psi.representation, frame=psi.frame
-    )
-    return inner_product(psi, diff)
+    return inner_product(psi, psi._with(ab.amplitudes - ba.amplitudes))

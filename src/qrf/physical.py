@@ -15,21 +15,19 @@ The redundancy-removing map behind these reductions is the unitary
 exp(i q_F (sum of other momenta + k)): it shifts the frame momentum so the
 constraint acts on the frame slot alone, after which projecting that slot out
 leaves the reduced amplitude.  Any k gives the same reduction; the
-k-parametrized family is exercised by :func:`trivialization_family_check`
-against small dense oracles.
+k-parametrized family is checked against small dense oracles by
+:func:`qrf.dense.trivialization_family_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .classical import FrameLabel, ParticleSystem, Potential
-from .dense import DenseOperator, fourier_matrix
 from .dynamics import kinetic_matrix
-from .errors import FrameMismatch, GridMismatch, KOutOfRange, SameFrame
+from .errors import FrameMismatch, GridMismatch, SameFrame
 from .grids import (
     MOMENTUM,
     POSITION,
@@ -37,11 +35,10 @@ from .grids import (
     WaveFunction,
     _centered_fft,
     _centered_ifft,
-    change_representation,
     inner_product,
+    to_matching,
     to_representation,
 )
-from .observables import Observable
 
 LETTERS = ("A", "B", "C")
 _LETTER_INDEX = {"A": 0, "B": 1, "C": 2}
@@ -167,11 +164,10 @@ class GridHamiltonian:
     position representation; split-step evolution alternates the two.
     """
 
-    def __init__(self, subsystems, kinetic_grid, potential_grid, kinetic_observable, frame):
+    def __init__(self, subsystems, kinetic_grid, potential_grid, frame):
         self.subsystems = tuple(subsystems)
         self.kinetic_grid = np.asarray(kinetic_grid, dtype=float)
         self.potential_grid = np.asarray(potential_grid, dtype=float)
-        self.kinetic_observable = kinetic_observable
         self.frame = frame
         shape = tuple(grid.n for _, grid in self.subsystems)
         if self.kinetic_grid.shape != shape or self.potential_grid.shape != shape:
@@ -187,19 +183,11 @@ class GridHamiltonian:
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
         self._check(psi)
-        original = psi.representation
         mom = to_representation(psi, MOMENTUM)
-        kinetic_amp = mom.amplitudes * self.kinetic_grid
         pos = to_representation(psi, POSITION)
-        potential_amp = pos.amplitudes * self.potential_grid
-        kin_term = WaveFunction(self.subsystems, kinetic_amp, MOMENTUM, frame=psi.frame)
-        pot_term = WaveFunction(self.subsystems, potential_amp, POSITION, frame=psi.frame)
-        total = None
-        for term in (kin_term, pot_term):
-            for label, rep in zip(psi.labels, original):
-                term = change_representation(term, label, rep)
-            total = term.amplitudes if total is None else total + term.amplitudes
-        return WaveFunction(self.subsystems, total, original, frame=psi.frame)
+        kinetic = to_matching(mom._with(mom.amplitudes * self.kinetic_grid), psi)
+        potential = to_matching(pos._with(pos.amplitudes * self.potential_grid), psi)
+        return psi._with(kinetic.amplitudes + potential.amplitudes)
 
     def expectation(self, psi: WaveFunction) -> float:
         self._check(psi)
@@ -216,9 +204,7 @@ class GridHamiltonian:
         steps = int(round(t / dt))
         if steps == 0:
             return psi
-        original = psi.representation
-        work = to_representation(psi, POSITION)
-        arr = work.amplitudes.copy()
+        arr = to_representation(psi, POSITION).amplitudes.copy()
         half_v = np.exp(-0.5j * dt * self.potential_grid)
         full_t = np.exp(-1j * dt * self.kinetic_grid)
         for _ in range(steps):
@@ -227,23 +213,7 @@ class GridHamiltonian:
             arr *= full_t
             arr = _centered_ifft(_centered_ifft(arr, 0), 1)
             arr *= half_v
-        out = WaveFunction(self.subsystems, arr, POSITION, frame=psi.frame)
-        for label, rep in zip(psi.labels, original):
-            out = change_representation(out, label, rep)
-        return out
-
-    def dense(self) -> DenseOperator:
-        """Brute-force matrix of the Hamiltonian (small grids only)."""
-        transform = np.kron(*[fourier_matrix(grid) for _, grid in self.subsystems])
-        kinetic = transform.conj().T @ (self.kinetic_grid.ravel()[:, None] * transform)
-        matrix = kinetic + np.diag(self.potential_grid.ravel())
-        return DenseOperator(matrix, self.subsystems)
-
-    def ground_energy(self) -> float:
-        """Smallest eigenvalue by dense diagonalization (small grids only)."""
-        matrix = self.dense().matrix
-        matrix = 0.5 * (matrix + matrix.conj().T)
-        return float(np.linalg.eigvalsh(matrix)[0])
+        return to_matching(WaveFunction(self.subsystems, arr, POSITION, frame=psi.frame), psi)
 
 
 def reduced_quantum_hamiltonian(
@@ -271,11 +241,6 @@ def reduced_quantum_hamiltonian(
     grids = [grid for _, grid in subsystems]
     p1, p2 = np.meshgrid(grids[0].momenta(), grids[1].momenta(), indexing="ij")
     kinetic_grid = matrix[0, 0] * p1**2 + matrix[1, 1] * p2**2 + 2 * matrix[0, 1] * p1 * p2
-    kinetic_observable = (
-        matrix[0, 0] * Observable.momentum(labels[0], 2)
-        + matrix[1, 1] * Observable.momentum(labels[1], 2)
-        + 2 * matrix[0, 1] * (Observable.momentum(labels[0]) * Observable.momentum(labels[1]))
-    )
     x1 = grids[0].positions()
     x2 = grids[1].positions()
     others = [_LETTER_INDEX[label] for label in labels]
@@ -286,26 +251,12 @@ def reduced_quantum_hamiltonian(
         for j, b in enumerate(x2):
             q[others[1]] = b
             potential_grid[i, j] = potential(q)
-    return GridHamiltonian(subsystems, kinetic_grid, potential_grid, kinetic_observable, frame)
+    return GridHamiltonian(subsystems, kinetic_grid, potential_grid, frame)
 
 
 # ---------------------------------------------------------------------------
 # k-parametrized trivialization family
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrivializationReport:
-    """Outcome of checking one member of the trivialization family."""
-
-    k: float
-    kappa: int
-    reduced_fidelity_vs_base: float
-    oracle_action_residual: float
-    windowed_diagonal_deviation: float
-    oracle_offdiagonal_deviation: float
-    wrapped_fraction: float
-    oracle_n: int
 
 
 def constraint_surface_amplitude(state: PhysicalState) -> np.ndarray:
@@ -314,19 +265,13 @@ def constraint_surface_amplitude(state: PhysicalState) -> np.ndarray:
     Index order is (A, B, C); entry (m_A, m_B, m_C) is populated only on the
     grid image of the constraint surface m_A + m_B + m_C = 0 (mod n).
     """
-    grid = state.grid
-    n = grid.n
-    amp = state.canonical.amplitudes
+    n = state.grid.n
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     frame_idx = ((-(ii - n // 2) - (jj - n // 2)) + n // 2) % n
     full = np.zeros((n, n, n), dtype=complex)
-    frame_axis = _LETTER_INDEX[state.frame.name]
-    if frame_axis == 0:
-        full[frame_idx, ii, jj] = amp
-    elif frame_axis == 1:
-        full[ii, frame_idx, jj] = amp
-    else:
-        full[ii, jj, frame_idx] = amp
+    index = [ii, jj]
+    index.insert(_LETTER_INDEX[state.frame.name], frame_idx)
+    full[tuple(index)] = state.canonical.amplitudes
     return full
 
 
@@ -344,116 +289,3 @@ def _trivialized_reduction(state: PhysicalState, kappa: int) -> np.ndarray:
     source[frame_axis] = (idx[frame_axis] - shift) % n
     shifted = full[tuple(source)]
     return shifted.sum(axis=frame_axis)
-
-
-@lru_cache(maxsize=2)
-def _oracle_statics(n: int, length: float):
-    grid = Grid1D(n, length)
-    fourier = fourier_matrix(grid)
-    momenta = grid.momenta()
-    positions = grid.positions()
-    # one-axis momentum operator in the position basis
-    p_op = fourier.conj().T @ np.diag(momenta.astype(complex)) @ fourier
-    return grid, fourier, momenta, positions, p_op
-
-
-def _truncated_oracle_amplitude(grid: Grid1D, kappa: int) -> np.ndarray:
-    """Momentum-space Gaussian restricted to indices that never wrap.
-
-    Support is limited so that both the frame-momentum solve and the k-shift
-    stay inside the momentum window; on this sector the constraint algebra is
-    exact on the grid.
-    """
-    n = grid.n
-    m = np.arange(n) - n // 2
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
-    sigma = n / 8.0
-    amp = np.exp(-(m1**2 + m2**2) / (2.0 * sigma**2)).astype(complex)
-    total = m1 + m2
-    inside = (-total >= -n // 2) & (-total <= n // 2 - 1)
-    inside &= (-total - kappa >= -n // 2) & (-total - kappa <= n // 2 - 1)
-    amp[~inside] = 0.0
-    return amp / np.linalg.norm(amp)
-
-
-def trivialization_family_check(
-    state: PhysicalState, k: float, oracle_n: int = 16, oracle_length: float = 12.0
-) -> TrivializationReport:
-    """Verify that the k-shifted redundancy removal has no physical effect.
-
-    Two independent checks:
-
-    * On the state's own grids, the reduced amplitude extracted after the
-      k-shifted trivialization and projection is compared against the k = 0
-      extraction (fidelity, phase-insensitive).
-    * On a small three-axis oracle grid, dense per-block matrices confirm
-      that conjugating the total momentum yields p_frame - k.  On a periodic
-      grid this identity holds up to the Brillouin wrap of the momentum
-      window, so the diagonal comparison is windowed to non-wrapped index
-      triples (their fraction is reported) and the operator action is checked
-      exactly on a wrap-free decayed state.
-
-    ``k`` must be an integer multiple of the state grid's dp and inside the
-    momentum window.
-    """
-    grid = state.grid
-    dp = grid.dp
-    kappa_real = k / dp
-    kappa = int(round(kappa_real))
-    if abs(kappa_real - kappa) > 1e-9:
-        raise KOutOfRange(f"k={k} is not an integer multiple of dp={dp}")
-    if abs(kappa) > grid.n // 2 - 1:
-        raise KOutOfRange(f"k={k} lies outside the momentum window")
-
-    base = _trivialized_reduction(state, 0)
-    shifted = _trivialized_reduction(state, kappa)
-    overlap = abs(np.vdot(base, shifted)) ** 2
-    fidelity = overlap / (np.linalg.norm(base) ** 2 * np.linalg.norm(shifted) ** 2)
-
-    oracle_grid, fourier, momenta, positions, p_op = _oracle_statics(oracle_n, oracle_length)
-    n = oracle_n
-    k_oracle = kappa * oracle_grid.dp
-    m = np.arange(n) - n // 2
-
-    # Per (p_b, p_c) block: T restricted to the frame axis is the dense
-    # conjugation of exp(i x (p_b + p_c + k)); compare F t p t^dag F^dag + p_b
-    # + p_c + k against diag(p_a) on non-wrapped entries.
-    diag_dev = 0.0
-    offdiag_dev = 0.0
-    wrapped = 0
-    amp = _truncated_oracle_amplitude(oracle_grid, kappa)
-    action_residual = 0.0
-    for ib in range(n):
-        for ic in range(n):
-            a_shift = momenta[ib] + momenta[ic] + k_oracle
-            t_block = np.diag(np.exp(1j * positions * a_shift))
-            conj_block = fourier @ (t_block @ p_op @ t_block.conj().T) @ fourier.conj().T
-            target = momenta - a_shift
-            source_m = m - (m[ib] + m[ic] + kappa)
-            in_window = (source_m >= -n // 2) & (source_m <= n // 2 - 1)
-            wrapped += int(np.sum(~in_window))
-            diag = np.real(np.diag(conj_block))
-            if np.any(in_window):
-                diag_dev = max(diag_dev, float(np.max(np.abs(diag[in_window] - target[in_window]))))
-            off = conj_block - np.diag(np.diag(conj_block))
-            offdiag_dev = max(offdiag_dev, float(np.max(np.abs(off))))
-            # transformed oracle state: frame-momentum column with p_a solved,
-            # shifted by the dense block; residual of (p_a - k) on it
-            column = np.zeros(n, dtype=complex)
-            target_idx = (-(m[ib] + m[ic]) + n // 2) % n
-            column[target_idx] = amp[ib, ic]
-            shifted_column = (fourier @ t_block @ fourier.conj().T) @ column
-            action = (momenta - k_oracle) * shifted_column
-            action_residual = max(action_residual, float(np.max(np.abs(action))))
-
-    total_triples = n**3
-    return TrivializationReport(
-        k=k,
-        kappa=kappa,
-        reduced_fidelity_vs_base=float(fidelity),
-        oracle_action_residual=action_residual,
-        windowed_diagonal_deviation=diag_dev,
-        oracle_offdiagonal_deviation=offdiag_dev,
-        wrapped_fraction=wrapped / total_triples,
-        oracle_n=oracle_n,
-    )

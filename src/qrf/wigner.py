@@ -38,6 +38,7 @@ from .grids import (
     Grid1D,
     WaveFunction,
     _centered_fft,
+    _centered_ifft,
     to_representation,
 )
 
@@ -146,21 +147,24 @@ def partial_trace(psi: WaveFunction, keep: str) -> DensityMatrix:
     return DensityMatrix(matrix, grid)
 
 
-def _refine_matrix(grid: Grid1D) -> np.ndarray:
-    """Band-limited interpolation of amplitudes onto the doubled grid."""
-    n = grid.n
-    fine = grid.refined()
-    # forward transform on the coarse grid
-    coarse_momenta = np.exp(
-        -1j * np.outer(grid.momenta(), grid.positions())
-    ) * (grid.dx / math.sqrt(2 * math.pi))
-    # zero-pad the momentum window and transform back on the fine grid
-    pad = np.zeros((fine.n, n), dtype=complex)
-    pad[n // 2 : n // 2 + n] = coarse_momenta
-    back = np.exp(1j * np.outer(fine.positions(), fine.momenta())) * (
-        fine.dp / math.sqrt(2 * math.pi)
-    )
-    return back @ pad
+def _refine(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Band-limited interpolation onto the doubled grid along one axis.
+
+    Zero-pads the centered momentum window from n to 2n samples; the two
+    transform normalizations, dx / sqrt(2 pi) and 2n dp / sqrt(2 pi), combine
+    to the factor 2.
+    """
+    n = arr.shape[axis]
+    widths = [(n // 2, n // 2) if a == axis else (0, 0) for a in range(arr.ndim)]
+    return 2.0 * _centered_ifft(np.pad(_centered_fft(arr, axis), widths), axis)
+
+
+def refined_kernel(rho: DensityMatrix) -> np.ndarray:
+    """Density kernel rho(x, x') band-limited onto the doubled grid on both axes.
+
+    Equals R (rho / dx) R^dagger for the refinement matrix R.
+    """
+    return _refine(_refine(rho.matrix / rho.grid.dx, 0).conj(), 1).conj()
 
 
 def wigner_transform(rho: DensityMatrix) -> WignerGrid:
@@ -174,8 +178,7 @@ def wigner_transform(rho: DensityMatrix) -> WignerGrid:
     dp/2 across the full momentum window.
     """
     grid = rho.grid
-    refine = _refine_matrix(grid)
-    kernel = (refine @ (rho.matrix / grid.dx) @ refine.conj().T).astype(complex)
+    kernel = refined_kernel(rho)
     fine = grid.refined()
     n2 = fine.n
     n4 = 2 * n2

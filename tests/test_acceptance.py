@@ -28,6 +28,7 @@ from qrf.dynamics import (
     integrate_reduced,
     kinetic_matrix,
 )
+from qrf.dense import trivialization_family_check
 from qrf.experiments import emit_figure_data
 from qrf.grids import (
     Grid1D,
@@ -43,7 +44,6 @@ from qrf.physical import (
     physical_state,
     reduced_quantum_hamiltonian,
     reexpress,
-    trivialization_family_check,
 )
 from qrf.switching import (
     BACKENDS,

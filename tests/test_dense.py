@@ -9,10 +9,12 @@ from qrf.dense import (
     dense_position,
     dense_total_momentum,
     fourier_matrix,
+    refine_matrix,
 )
 from qrf.errors import TooLarge
 from qrf.grids import Grid1D, POSITION, gaussian_state, random_wavefunction, to_representation, inner_product
 from qrf.observables import Observable
+from qrf.wigner import partial_trace, refined_kernel
 
 
 class TestBuildingBlocks:
@@ -56,6 +58,15 @@ class TestOracleEquivalence:
         oracle = dense_momentum([("B", grid128)], "B", power=2)
         dense_value = inner_product(psi, oracle.apply(psi)).real
         assert abs(spectral - dense_value) <= 1e-8
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_refinement_matches_spectral_kernel(self, n, rng):
+        grid = Grid1D(n, 12.0)
+        rho = partial_trace(random_wavefunction([("B", grid), ("C", grid)], rng), "B")
+        refine = refine_matrix(grid)
+        oracle = refine @ (rho.matrix / grid.dx) @ refine.conj().T
+        error = np.max(np.abs(refined_kernel(rho) - oracle)) / np.max(np.abs(oracle))
+        assert error <= 1e-13
 
     def test_total_momentum_assembles_axes(self, grid16):
         subsystems = [("B", grid16), ("C", grid16)]

@@ -3,7 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qrf.classical import FRAME_A, FRAME_B, FRAME_C, FREE_POTENTIAL, ParticleSystem
-from qrf.dense import dense_total_momentum, fourier_matrix
+from qrf.dense import (
+    dense_total_momentum,
+    fourier_matrix,
+    ground_energy,
+    trivialization_family_check,
+)
 from qrf.dynamics import OscillatorParams
 from qrf.errors import FrameMismatch, GridMismatch, KOutOfRange, SameFrame
 from qrf.grids import (
@@ -27,7 +32,6 @@ from qrf.physical import (
     reduced_labels,
     reduced_quantum_hamiltonian,
     reexpress,
-    trivialization_family_check,
 )
 
 
@@ -172,7 +176,7 @@ class TestReducedQuantumHamiltonian:
         h = reduced_quantum_hamiltonian(
             FRAME_A, params.potential(), params.system(), [("B", grid), ("C", grid)]
         )
-        energy = h.ground_energy()
+        energy = ground_energy(h)
         expected = 0.5 * (params.omega_a + params.omega_b)
         assert abs(energy - expected) / expected <= 1e-3
 
@@ -185,7 +189,8 @@ class TestReducedQuantumHamiltonian:
 
 
 class TestConstraintSurface:
-    def test_assembled_state_is_annihilated(self, grid16, rng):
+    @pytest.mark.parametrize("frame", [FRAME_A, FRAME_B, FRAME_C], ids=lambda f: f.name)
+    def test_assembled_state_is_annihilated(self, grid16, rng, frame):
         # truncated momentum support keeps the frame-momentum solve wrap-free,
         # where the grid realizes the constraint exactly
         n = grid16.n
@@ -193,8 +198,9 @@ class TestConstraintSurface:
         m1, m2 = np.meshgrid(m, m, indexing="ij")
         amp = np.exp(-(m1**2 + m2**2) / 8.0).astype(complex)
         amp[np.abs(m1 + m2) > n // 2 - 1] = 0.0
-        psi = WaveFunction([("B", grid16), ("C", grid16)], amp, MOMENTUM, frame=FRAME_A)
-        state = physical_state(psi, FRAME_A)
+        labels = reduced_labels(frame)
+        psi = WaveFunction([(l, grid16) for l in labels], amp, MOMENTUM, frame=frame)
+        state = physical_state(psi, frame)
         full = constraint_surface_amplitude(state)
         # weighted momentum vector, rotated into the oracle's position basis
         vector = full.ravel() * np.sqrt(grid16.dp**3)
