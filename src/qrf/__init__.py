@@ -17,6 +17,7 @@ from .classical import (
     embed_reduced,
     gauge_flow,
     lagrangian_momenta,
+    pin_frame,
     poisson_bracket,
     project_reduced,
     spring_potential,
@@ -29,6 +30,7 @@ from .dynamics import (
     analytic_oscillator_frame_a,
     analytic_oscillator_frame_c,
     integrate_reduced,
+    reduced_energy,
     reduced_hamiltonian,
     total_hamiltonian,
 )

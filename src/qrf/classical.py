@@ -160,17 +160,23 @@ def _central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
 class Potential:
     """Translation-invariant interaction energy V({q_i - q_j}).
 
-    Wraps an energy callable over the full position list plus an optional
-    analytic gradient; missing gradients fall back to central finite
-    differences with step ``GRADIENT_FD_STEP``.
+    The energy callable receives positions particle-first, shape ``(N, ...)``,
+    and must broadcast over the trailing axes, returning shape ``(...)``:
+    written as ``q[i] - q[j]`` it does so unchanged.  The optional analytic
+    gradient takes one ``(N,)`` position list; without it the gradient falls
+    back to central finite differences with step ``GRADIENT_FD_STEP``.
     """
 
     def __init__(self, energy, gradient=None):
         self._energy = energy
         self._gradient = gradient
 
-    def __call__(self, q) -> float:
-        return float(self._energy(np.asarray(q, dtype=float)))
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        energy = np.asarray(self._energy(q), dtype=float)
+        if energy.shape != q.shape[1:]:
+            raise ValueError(f"energy of shape {energy.shape} does not broadcast over q {q.shape}")
+        return energy[()]  # a scalar for one (N,) point
 
     def gradient(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -185,7 +191,7 @@ class Potential:
 
 
 #: The non-interacting system.
-FREE_POTENTIAL = Potential(lambda q: 0.0, gradient=lambda q: np.zeros_like(q))
+FREE_POTENTIAL = Potential(lambda q: np.zeros(q.shape[1:]), gradient=lambda q: np.zeros_like(q))
 
 
 def spring_potential(springs) -> Potential:
@@ -216,20 +222,20 @@ def gauge_flow(point: ExtendedPhasePoint, s: float) -> ExtendedPhasePoint:
     return ExtendedPhasePoint(point.q + s, point.p)
 
 
+def pin_frame(values, frame: FrameLabel, fill=0.0) -> np.ndarray:
+    """Insert the frame particle's slot, holding ``fill``: (N - 1, ...) -> (N, ...)."""
+    return np.insert(np.asarray(values, dtype=float), frame.index, fill, axis=0)
+
+
 def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
     """Place a reduced point on the constraint surface with its frame at the origin.
 
     The frame particle gets q = 0 and absorbs minus the total momentum of the
     others, so the image satisfies P = 0 and q_frame = 0 exactly.
     """
-    n = rp.n
-    q = np.zeros(n)
-    p = np.zeros(n)
-    others = list(rp.labels)
-    q[others] = rp.q_rel
-    p[others] = rp.p_rel
-    p[rp.frame.index] = -np.sum(rp.p_rel)
-    return ExtendedPhasePoint(q, p)
+    return ExtendedPhasePoint(
+        pin_frame(rp.q_rel, rp.frame), pin_frame(rp.p_rel, rp.frame, -np.sum(rp.p_rel))
+    )
 
 
 def project_reduced(

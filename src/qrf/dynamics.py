@@ -24,7 +24,7 @@ from .classical import (
     Potential,
     ReducedPhasePoint,
     ExtendedPhasePoint,
-    embed_reduced,
+    pin_frame,
     spring_potential,
     total_momentum,
 )
@@ -73,9 +73,9 @@ class Trajectory:
     """Sampled reduced-phase-space history at strictly increasing times."""
 
     def __init__(self, times, q, p, frame: FrameLabel):
-        self.times = np.asarray(times, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.p = np.asarray(p, dtype=float)
+        self.times = np.array(times, dtype=float)
+        self.q = np.array(q, dtype=float)
+        self.p = np.array(p, dtype=float)
         self.frame = frame
         if self.q.shape != self.p.shape or self.q.shape[0] != self.times.shape[0]:
             raise ValueError("inconsistent trajectory shapes")
@@ -91,10 +91,7 @@ class Trajectory:
         return ReducedPhasePoint(self.frame, self.q[i], self.p[i])
 
     def energies(self, potential: Potential, system: ParticleSystem) -> np.ndarray:
-        values = [
-            reduced_hamiltonian(self.point(i), potential, system) for i in range(len(self))
-        ]
-        return np.asarray(values)
+        return reduced_energy(self.q.T, self.p.T, self.frame, potential, system)
 
 
 def total_hamiltonian(
@@ -112,28 +109,23 @@ def total_hamiltonian(
 def kinetic_matrix(system: ParticleSystem, frame: FrameLabel) -> np.ndarray:
     """Symmetric matrix M with T(p) = p @ M @ p on the frame's reduction."""
     system.check_frame(frame)
-    others = [i for i in range(system.n) if i != frame.index]
     m = system.masses
-    matrix = np.full((len(others), len(others)), 0.5 / m[frame.index])
-    for row, i in enumerate(others):
-        matrix[row, row] = 0.5 * (1.0 / m[i] + 1.0 / m[frame.index])
-    return matrix
+    return 0.5 * (np.diag(1.0 / np.delete(m, frame.index)) + 1.0 / m[frame.index])
+
+
+def reduced_energy(
+    q_rel, p_rel, frame: FrameLabel, potential: Potential, system: ParticleSystem
+):
+    """T(p) + V(q), frame pinned at the origin, over particle-first (N - 1, ...) arrays."""
+    kinetic = np.einsum("i...,ij,j...->...", p_rel, kinetic_matrix(system, frame), p_rel)
+    return kinetic + potential(pin_frame(q_rel, frame))
 
 
 def reduced_hamiltonian(
     rp: ReducedPhasePoint, potential: Potential, system: ParticleSystem
 ) -> float:
     """Energy on the reduced phase space, frame particle pinned at the origin."""
-    matrix = kinetic_matrix(system, rp.frame)
-    kinetic = float(rp.p_rel @ matrix @ rp.p_rel)
-    return kinetic + potential(embed_reduced(rp).q)
-
-
-def _reduced_gradient(potential, frame, others, q_rel):
-    n = len(others) + 1
-    q = np.zeros(n)
-    q[others] = q_rel
-    return potential.gradient(q)[others]
+    return float(reduced_energy(rp.q_rel, rp.p_rel, rp.frame, potential, system))
 
 
 # Yoshida composition weights: three Strang substeps of sizes (w1, w0, w1) * dt
@@ -164,11 +156,16 @@ def integrate_reduced(
     steps = max(1, int(round(t_final / dt)))
     others = list(initial.labels)
     drift = 2.0 * kinetic_matrix(system, initial.frame)  # dq/dt = dT/dp
+    pinned = pin_frame(initial.q_rel, initial.frame)  # one buffer; frame slot stays 0
+
+    def force(q):
+        pinned[others] = q
+        return potential.gradient(pinned)[others]
 
     def strang(q, p, h):
-        p = p - (0.5 * h) * _reduced_gradient(potential, initial.frame, others, q)
+        p = p - (0.5 * h) * force(q)
         q = q + h * (drift @ p)
-        p = p - (0.5 * h) * _reduced_gradient(potential, initial.frame, others, q)
+        p = p - (0.5 * h) * force(q)
         return q, p
 
     qs = np.empty((steps + 1, len(others)))
@@ -220,7 +217,7 @@ def acceleration_identity_check(
     system = ParticleSystem(3)
     traj = integrate_reduced(rp, potential, system, 2 * dt, dt)
     qdd = (traj.q[0] - 2 * traj.q[1] + traj.q[2]) / dt**2
-    grad = _reduced_gradient(potential, rp.frame, list(rp.labels), traj.q[1])
+    grad = np.delete(potential.gradient(pin_frame(traj.q[1], rp.frame)), rp.frame.index)
     rhs = np.array([-2 * grad[0] - grad[1], -2 * grad[1] - grad[0]])
     residual = np.abs(qdd - rhs)
     return float(residual[0]), float(residual[1])

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,6 +235,15 @@ def _require(parameters: dict, key: str, kind_name: str):
     return parameters[key]
 
 
+@contextmanager
+def _config_values(kind_name: str):
+    """Report a ValueError raised while building run objects as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{kind_name}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -266,21 +276,23 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def _run_classical_trajectory(config: ExperimentConfig):
     p = config.parameters
     name = str(p.get("name", "trajectory"))
-    params = OscillatorParams(
-        m_a=float(p.get("m_a", 1.0)),
-        m_b=float(p.get("m_b", 1.0)),
-        m_c=float(p.get("m_c", 1e6)),
-        k_a=float(_require(p, "omega_a", config.kind)) ** 2 * float(p.get("m_a", 1.0)),
-        k_b=float(_require(p, "omega_b", config.kind)) ** 2 * float(p.get("m_b", 1.0)),
-        a0=float(_require(p, "a0", config.kind)),
-        b0=float(_require(p, "b0", config.kind)),
-        phi_a=float(p.get("phi_a", 0.0)),
-        phi_b=float(p.get("phi_b", 0.0)),
-    )
-    t_final = float(p.get("t_final", 20.0))
-    dt = float(p.get("dt", 1e-3))
-    if t_final <= 0 or dt <= 0:
-        raise ConfigError("t_final and dt must be positive")
+    with _config_values(config.kind):
+        params = OscillatorParams(
+            m_a=float(p.get("m_a", 1.0)),
+            m_b=float(p.get("m_b", 1.0)),
+            m_c=float(p.get("m_c", 1e6)),
+            k_a=float(_require(p, "omega_a", config.kind)) ** 2 * float(p.get("m_a", 1.0)),
+            k_b=float(_require(p, "omega_b", config.kind)) ** 2 * float(p.get("m_b", 1.0)),
+            a0=float(_require(p, "a0", config.kind)),
+            b0=float(_require(p, "b0", config.kind)),
+            phi_a=float(p.get("phi_a", 0.0)),
+            phi_b=float(p.get("phi_b", 0.0)),
+        )
+        t_final = float(p.get("t_final", 20.0))
+        dt = float(p.get("dt", 1e-3))
+    # written so that NaN fails both comparisons
+    if not (0 < t_final < math.inf and 0 < dt < math.inf):
+        raise ConfigError(f"t_final and dt must be positive and finite, got {t_final} and {dt}")
     times = np.arange(int(round(t_final / dt)) + 1) * dt
     x_a, x_b = analytic_oscillator_frame_c(params, times)
     q_b, q_c = analytic_oscillator_frame_a(params, times)
@@ -301,15 +313,18 @@ def _run_wigner_study(config: ExperimentConfig):
     p = config.parameters
     mode = str(_require(p, "mode", config.kind))
     name = str(p.get("name", "wigner"))
-    points = int(p.get("points", 101))
+    with _config_values(config.kind):
+        points = int(p.get("points", 101))
+    if points < 2:
+        raise ConfigError(f"points must be at least 2, got {points}")
     files = []
     if mode == "eigenstates":
-        alpha = float(p.get("alpha", 1.0))
-        half_width = float(p.get("half_width", 5.0))
-        x = np.linspace(-half_width, half_width, points)
-        xi = x * alpha
-        for level, tag in ((0, "ground"), (1, "excited")):
-            grid = closed_form_eigenstate_wigner(level, alpha, x, xi)
+        with _config_values(config.kind):
+            alpha = float(p.get("alpha", 1.0))
+            half_width = float(p.get("half_width", 5.0))
+            x = np.linspace(-half_width, half_width, points)
+            grids = [closed_form_eigenstate_wigner(level, alpha, x, x * alpha) for level in (0, 1)]
+        for grid, tag in zip(grids, ("ground", "excited")):
             if abs(grid.integral() - 1.0) > 1e-4:
                 raise NumericalFailure(
                     f"closed-form Wigner normalization off: {grid.integral():.6f}"
@@ -322,11 +337,12 @@ def _run_wigner_study(config: ExperimentConfig):
                 )
             )
     elif mode == "marginals":
-        level_a = int(_require(p, "level_a", config.kind))
-        level_b = int(_require(p, "level_b", config.kind))
-        alpha_a = float(_require(p, "alpha_a", config.kind))
-        alpha_b = float(_require(p, "alpha_b", config.kind))
-        joint = transformed_joint_wigner(level_a, level_b, alpha_a, alpha_b)
+        with _config_values(config.kind):
+            level_a = int(_require(p, "level_a", config.kind))
+            level_b = int(_require(p, "level_b", config.kind))
+            alpha_a = float(_require(p, "alpha_a", config.kind))
+            alpha_b = float(_require(p, "alpha_b", config.kind))
+            joint = transformed_joint_wigner(level_a, level_b, alpha_a, alpha_b)
         sigma = 1.0 / math.sqrt(min(alpha_a, alpha_b))
         sigma_p = math.sqrt(max(alpha_a, alpha_b))
         x = np.linspace(-6.0 * sigma, 6.0 * sigma, points)
@@ -352,7 +368,11 @@ def _run_wigner_study(config: ExperimentConfig):
 def _run_invariant_suite(config: ExperimentConfig):
     """Quick seeded pass over the library's cross-cutting invariants."""
     rng = np.random.default_rng(config.seed)
-    grid = Grid1D(int(config.parameters.get("grid_n", 64)), float(config.parameters.get("grid_length", 20.0)))
+    with _config_values(config.kind):
+        grid = Grid1D(
+            int(config.parameters.get("grid_n", 64)),
+            float(config.parameters.get("grid_length", 20.0)),
+        )
     subsystems = [("B", grid), ("C", grid)]
     results: dict[str, dict] = {}
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import FrameLabel, ParticleSystem, Potential
-from .dynamics import kinetic_matrix
+from .classical import FREE_POTENTIAL, FrameLabel, ParticleSystem, Potential, pin_frame
+from .dynamics import reduced_energy
 from .errors import FrameMismatch, GridMismatch, SameFrame
 from .grids import (
     MOMENTUM,
@@ -40,15 +40,13 @@ from .grids import (
     to_representation,
 )
 
-LETTERS = ("A", "B", "C")
-_LETTER_INDEX = {"A": 0, "B": 1, "C": 2}
-
 
 def reduced_labels(frame: FrameLabel) -> tuple[str, str]:
     """Axis labels of the frame's reduction, in ascending particle order."""
     if frame.index not in (0, 1, 2):
         raise ValueError("quantum reductions are defined for three particles")
-    return tuple(l for l in LETTERS if l != frame.name)  # type: ignore[return-value]
+    names = (FrameLabel(i).name for i in range(3) if i != frame.index)
+    return tuple(names)  # type: ignore[return-value]
 
 
 def _shared_grid(psi: WaveFunction) -> Grid1D:
@@ -237,20 +235,11 @@ def reduced_quantum_hamiltonian(
         raise FrameMismatch(
             f"frame {frame.name} expects axes {reduced_labels(frame)}, got {labels}"
         )
-    matrix = kinetic_matrix(system, frame)
     grids = [grid for _, grid in subsystems]
-    p1, p2 = np.meshgrid(grids[0].momenta(), grids[1].momenta(), indexing="ij")
-    kinetic_grid = matrix[0, 0] * p1**2 + matrix[1, 1] * p2**2 + 2 * matrix[0, 1] * p1 * p2
-    x1 = grids[0].positions()
-    x2 = grids[1].positions()
-    others = [_LETTER_INDEX[label] for label in labels]
-    potential_grid = np.empty((grids[0].n, grids[1].n))
-    q = np.zeros(3)
-    for i, a in enumerate(x1):
-        q[others[0]] = a
-        for j, b in enumerate(x2):
-            q[others[1]] = b
-            potential_grid[i, j] = potential(q)
+    momenta = np.stack(np.meshgrid(*(grid.momenta() for grid in grids), indexing="ij"))
+    positions = np.stack(np.meshgrid(*(grid.positions() for grid in grids), indexing="ij"))
+    kinetic_grid = reduced_energy(np.zeros_like(momenta), momenta, frame, FREE_POTENTIAL, system)
+    potential_grid = potential(pin_frame(positions, frame))
     return GridHamiltonian(subsystems, kinetic_grid, potential_grid, frame)
 
 
@@ -270,7 +259,7 @@ def constraint_surface_amplitude(state: PhysicalState) -> np.ndarray:
     frame_idx = ((-(ii - n // 2) - (jj - n // 2)) + n // 2) % n
     full = np.zeros((n, n, n), dtype=complex)
     index = [ii, jj]
-    index.insert(_LETTER_INDEX[state.frame.name], frame_idx)
+    index.insert(state.frame.index, frame_idx)
     full[tuple(index)] = state.canonical.amplitudes
     return full
 
@@ -280,7 +269,7 @@ def _trivialized_reduction(state: PhysicalState, kappa: int) -> np.ndarray:
     grid = state.grid
     n = grid.n
     full = constraint_surface_amplitude(state)
-    frame_axis = _LETTER_INDEX[state.frame.name]
+    frame_axis = state.frame.index
     idx = np.indices((n, n, n))
     m = [axis - n // 2 for axis in idx]
     other_axes = [a for a in range(3) if a != frame_axis]

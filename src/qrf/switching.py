@@ -33,7 +33,7 @@ from .grids import (
     with_axis_order,
 )
 from .observables import Observable
-from .physical import LETTERS, momentum_substitution, reduced_labels, reduced_quantum_hamiltonian
+from .physical import momentum_substitution, reduced_labels, reduced_quantum_hamiltonian
 
 BACKENDS = ("parity-shear", "compositional")
 
@@ -58,9 +58,7 @@ class FrameSwitch:
     @property
     def remaining(self) -> str:
         """Label of the particle that is neither the old nor the new frame."""
-        return next(
-            l for l in LETTERS if l not in (self.from_frame.name, self.to_frame.name)
-        )
+        return FrameLabel(3 - self.from_frame.index - self.to_frame.index).name
 
     def reversed(self) -> "FrameSwitch":
         return FrameSwitch(self.to_frame, self.from_frame, self.backend)

@@ -20,6 +20,7 @@ from qrf.classical import (
     gauge_flow,
     lagrangian_momenta,
     momentum_coordinate,
+    pin_frame,
     poisson_bracket,
     position_coordinate,
     project_reduced,
@@ -234,6 +235,38 @@ class TestPotential:
     def test_free_potential(self):
         assert FREE_POTENTIAL([1.0, 2.0, 3.0]) == 0.0
         assert np.all(FREE_POTENTIAL.gradient(np.zeros(3)) == 0)
+
+    @pytest.mark.parametrize(
+        "potential",
+        [
+            FREE_POTENTIAL,
+            spring_potential([(2, 0, 1.0), (2, 1, 2.5), (0, 1, 0.7)]),
+            Potential(lambda q: 0.5 * 1.3 * (q[1] - q[0]) ** 2 + np.cos(q[2] - q[0])),
+        ],
+        ids=["free", "springs", "user"],
+    )
+    def test_energy_broadcasts_over_particle_first_arrays(self, potential, rng):
+        q = rng.uniform(-2, 2, (3, 4, 5))
+        energy = potential(q)
+        assert energy.shape == (4, 5)
+        pointwise = [[potential(q[:, i, j]) for j in range(5)] for i in range(4)]
+        assert_allclose(energy, pointwise, rtol=1e-14, atol=1e-15)
+
+    def test_non_broadcasting_energy_rejected(self, rng):
+        summed = Potential(lambda q: np.sum((q[1] - q[0]) ** 2))
+        assert summed(rng.uniform(-1, 1, 3)) >= 0.0
+        with pytest.raises(ValueError, match="broadcast"):
+            summed(rng.uniform(-1, 1, (3, 4)))
+
+
+class TestPinFrame:
+    @pytest.mark.parametrize("frame", [FRAME_A, FRAME_B, FRAME_C])
+    def test_inserts_frame_slot_along_first_axis(self, frame, rng):
+        values = rng.uniform(-1, 1, (2, 3, 4))
+        pinned = pin_frame(values, frame, fill=7.0)
+        assert pinned.shape == (3, 3, 4)
+        assert np.all(pinned[frame.index] == 7.0)
+        assert np.array_equal(np.delete(pinned, frame.index, axis=0), values)
 
 
 class TestTypes:

@@ -156,6 +156,25 @@ class TestCommandLine:
         path.write_text("kind = wigner-study\n")  # missing mode
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "kind = classical-trajectory\nomega_a = 1\nomega_b = 1\na0 = 1\nb0 = 1\nt_final = nan\n",
+            "kind = invariant-suite\ngrid_n = 100\n",
+            "kind = wigner-study\nmode = marginals\nlevel_a = 2\nlevel_b = 0\n"
+            "alpha_a = 1\nalpha_b = 1\n",
+            "kind = wigner-study\nmode = eigenstates\npoints = 1\n",
+            "kind = classical-trajectory\nomega_a = 1\nomega_b = 1\na0 = 1\nb0 = 1\nm_c = -1.0\n",
+        ],
+        ids=["t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative"],
+    )
+    def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.cfg"
+        path.write_text(body + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qrf: ")
+
     def test_suite_command(self, tmp_path):
         assert main(["suite", "--seed", "2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "suite_report.json").exists()

@@ -238,3 +238,22 @@ class TestTrajectory:
         point = traj.point(1)
         assert point.frame == FRAME_A
         assert_allclose(point.q_rel, [3, 4])
+
+    def test_caller_arrays_stay_writeable(self):
+        times = np.array([0.0, 1.0])
+        q = np.array([[1.0, 2.0], [3.0, 4.0]])
+        p = np.array([[5.0, 6.0], [7.0, 8.0]])
+        traj = Trajectory(times, q, p, FRAME_A)
+        assert times.flags.writeable and q.flags.writeable and p.flags.writeable
+        assert not (traj.times.flags.writeable or traj.q.flags.writeable or traj.p.flags.writeable)
+        q[0, 0] = -1.0
+        assert traj.q[0, 0] == 1.0
+
+    @pytest.mark.parametrize("frame", [FRAME_A, FRAME_C])
+    def test_energies_match_pointwise_hamiltonian(self, frame):
+        system = ParticleSystem(3, masses=[1.0, 2.0, 1.5])
+        potential = spring_potential([(2, 0, 1.0), (2, 1, 2.5), (0, 1, 0.7)])
+        rp = ReducedPhasePoint(frame, [0.8, -0.3], [0.1, 0.4])
+        traj = integrate_reduced(rp, potential, system, 2.0, 1e-2)
+        pointwise = [reduced_hamiltonian(traj.point(i), potential, system) for i in range(len(traj))]
+        assert_allclose(traj.energies(potential, system), pointwise, rtol=1e-14, atol=0)

@@ -2,7 +2,9 @@
 
 Production modules reach the Fourier transform only through the centered FFTs
 of ``qrf.grids``, and the caller's representation is restored by one helper,
-``qrf.grids.to_matching``.
+``qrf.grids.to_matching``.  Reduced energies, classical and quantum, are
+evaluated by one broadcasting path (``qrf.dynamics.reduced_energy``), never
+point by point.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qrf
+import qrf.physical
 from qrf.classical import FRAME_A, FREE_POTENTIAL, ParticleSystem
 from qrf.physical import GridHamiltonian, reduced_quantum_hamiltonian
 
@@ -80,3 +83,34 @@ def test_grid_hamiltonian_carries_no_oracle_or_unread_state(grid16):
     assert set(vars(h)) == {"subsystems", "kinetic_grid", "potential_grid", "frame"}
     for name in ("dense", "ground_energy", "kinetic_observable"):
         assert not hasattr(GridHamiltonian, name)
+
+
+def _function(path, qualname):
+    node = _tree(path)
+    for name in qualname.split("."):
+        node = next(
+            child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name
+        )
+    return node
+
+
+@pytest.mark.parametrize(
+    "module, qualname",
+    [("physical.py", "reduced_quantum_hamiltonian"), ("dynamics.py", "Trajectory.energies")],
+)
+def test_reduced_energies_are_evaluated_without_loops(module, qualname):
+    # for statements, and comprehensions over index ranges (per-sample loops)
+    path = Path(qrf.__file__).parent / module
+    loops = [
+        node
+        for node in ast.walk(_function(path, qualname))
+        if isinstance(node, ast.For)
+        or (isinstance(node, ast.comprehension) and any(True for _ in _calls(node.iter, "range")))
+    ]
+    assert not loops, f"{module}: {len(loops)} loop(s) inside {qualname}; broadcast instead"
+
+
+def test_frame_letters_come_from_frame_labels():
+    for name in ("LETTERS", "_LETTER_INDEX"):
+        assert not hasattr(qrf.physical, name)

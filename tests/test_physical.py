@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrf.classical import FRAME_A, FRAME_B, FRAME_C, FREE_POTENTIAL, ParticleSystem
+from qrf.classical import (
+    FRAME_A,
+    FRAME_B,
+    FRAME_C,
+    FREE_POTENTIAL,
+    ParticleSystem,
+    spring_potential,
+)
 from qrf.dense import (
     dense_total_momentum,
     fourier_matrix,
@@ -186,6 +193,29 @@ class TestReducedQuantumHamiltonian:
             reduced_quantum_hamiltonian(
                 FRAME_A, params.potential(), params.system(), [("A", grid64), ("B", grid64)]
             )
+
+    @pytest.mark.parametrize("frame", [FRAME_A, FRAME_B, FRAME_C], ids=lambda f: f.name)
+    def test_grids_match_scalar_loop_reference(self, grid16, frame):
+        system = ParticleSystem(3, masses=[1.0, 2.0, 1.5])
+        potential = spring_potential([(2, 0, 1.0), (2, 1, 2.5), (0, 1, 0.7)])
+        labels = reduced_labels(frame)
+        h = reduced_quantum_hamiltonian(frame, potential, system, [(l, grid16) for l in labels])
+        others = [i for i in range(3) if i != frame.index]
+        m = system.masses
+        potential_ref = np.empty((16, 16))
+        kinetic_ref = np.empty((16, 16))
+        for i, (x1, p1) in enumerate(zip(grid16.positions(), grid16.momenta())):
+            for j, (x2, p2) in enumerate(zip(grid16.positions(), grid16.momenta())):
+                q = np.zeros(3)
+                q[others] = x1, x2
+                potential_ref[i, j] = potential(q)
+                kinetic_ref[i, j] = (
+                    p1**2 / (2 * m[others[0]])
+                    + p2**2 / (2 * m[others[1]])
+                    + (p1 + p2) ** 2 / (2 * m[frame.index])
+                )
+        assert np.array_equal(h.potential_grid, potential_ref)
+        assert_allclose(h.kinetic_grid, kinetic_ref, rtol=1e-14, atol=1e-14)
 
 
 class TestConstraintSurface:
