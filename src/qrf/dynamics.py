@@ -14,6 +14,7 @@ available where tighter phase accuracy is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,9 @@ def integrate_reduced(
     leapfrog substeps with Yoshida weights.  Free flow (V = 0) is exact for
     both.  Samples are stored every step from t = 0 to t ~ t_final.
     """
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
+    # written so that NaN fails every comparison; t_final / dt must stay finite
+    if not (0 < dt < math.inf and 0 <= t_final / dt < math.inf):
+        raise InvalidStep(f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     system.check_frame(initial.frame)

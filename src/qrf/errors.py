@@ -18,7 +18,7 @@ class FrameMismatch(QRFError):
 
 
 class InvalidStep(QRFError):
-    """Integration step size is not positive."""
+    """A step size is not positive and finite, or a duration not finite and >= 0."""
 
 
 class UnknownAxis(QRFError):

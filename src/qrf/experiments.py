@@ -191,8 +191,18 @@ def _format_value(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _create(path: Path):
+    """Open an output file, creating its directory on first use.
+
+    The directory is made only once a run has data to write, so a config
+    rejected before that leaves nothing behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_csv(path: Path, columns, rows) -> dict:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _create(path) as handle:
         handle.write(",".join(columns) + "\n")
         count = 0
         for row in rows:
@@ -223,7 +233,7 @@ def _finalize(config: ExperimentConfig, declared_files, started: float, extra=No
         entry = dict(entry)
         entry["sha256"] = _sha256(path)
         manifest["files"].append(entry)
-    with open(config.output_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as handle:
+    with _create(config.output_dir / "manifest.json") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return manifest
@@ -257,7 +267,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     when an internal invariant gate trips.
     """
     started = time.monotonic()
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     if config.kind == "classical-trajectory":
         files, extra = _run_classical_trajectory(config)
     elif config.kind == "wigner-study":
@@ -465,7 +474,7 @@ def _run_invariant_suite(config: ExperimentConfig):
     all_passed = all(entry["passed"] for entry in results.values())
     report = {"results": results, "all_passed": all_passed, "seed": config.seed}
     path = config.output_dir / "suite_report.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _create(path) as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     entry = {"name": path.name, "rows": len(results), "columns": ["property", "value", "tolerance", "passed"]}

@@ -170,10 +170,11 @@ class TestCommandLine:
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):
         path = tmp_path / "bad.cfg"
-        path.write_text(body + f"output_dir = {tmp_path / 'out'}\n")
+        path.write_text(body + f"output_dir = {tmp_path / 'new' / 'out'}\n")
         assert main(["run", str(path)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qrf: ")
+        assert not (tmp_path / "new").exists()
 
     def test_suite_command(self, tmp_path):
         assert main(["suite", "--seed", "2", "--out", str(tmp_path)]) == 0

@@ -107,6 +107,16 @@ class TestIntegrateReduced:
         with pytest.raises(InvalidStep):
             integrate_reduced(rp, FREE_POTENTIAL, ParticleSystem(3), 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [(-5.0, 1e-2), (float("nan"), 1e-2), (float("inf"), 1e-2), (1.0, float("nan")), (1.0, float("inf"))],
+        ids=["t_final-negative", "t_final-nan", "t_final-inf", "dt-nan", "dt-inf"],
+    )
+    def test_invalid_span_rejected(self, t_final, dt):
+        rp = ReducedPhasePoint(FRAME_A, [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(InvalidStep):
+            integrate_reduced(rp, FREE_POTENTIAL, ParticleSystem(3), t_final, dt)
+
     def test_matches_analytic_oscillators(self):
         params = OscillatorParams(k_a=1.0, k_b=4.0, a0=1.0, b0=1.0, phi_b=np.pi / 2)
         rp_a = matched_initial_conditions(params, frame_c=False)

@@ -17,16 +17,21 @@ from qrf.dense import (
     trivialization_family_check,
 )
 from qrf.dynamics import OscillatorParams
-from qrf.errors import FrameMismatch, GridMismatch, KOutOfRange, SameFrame
+from qrf.errors import FrameMismatch, GridMismatch, InvalidStep, KOutOfRange, SameFrame
 from qrf.grids import (
     MOMENTUM,
+    POSITION,
     Grid1D,
     WaveFunction,
+    _centered_fft,
+    _centered_ifft,
+    change_representation,
     gaussian_state,
     ho_eigenstate,
     inner_product,
     product_state,
     random_wavefunction,
+    to_matching,
     to_representation,
 )
 from qrf.observables import Observable
@@ -216,6 +221,69 @@ class TestReducedQuantumHamiltonian:
                 )
         assert np.array_equal(h.potential_grid, potential_ref)
         assert_allclose(h.kinetic_grid, kinetic_ref, rtol=1e-14, atol=1e-14)
+
+
+def unfused_strang(h, psi, t, dt):
+    """Reference split-step loop: per-axis centered transforms, two half kicks a step."""
+    arr = to_representation(psi, POSITION).amplitudes.copy()
+    half_v = np.exp(-0.5j * dt * h.potential_grid)
+    full_t = np.exp(-1j * dt * h.kinetic_grid)
+    for _ in range(int(round(t / dt))):
+        arr *= half_v
+        arr = _centered_fft(_centered_fft(arr, 0), 1)
+        arr *= full_t
+        arr = _centered_ifft(_centered_ifft(arr, 0), 1)
+        arr *= half_v
+    return to_matching(WaveFunction(h.subsystems, arr, POSITION, frame=psi.frame), psi)
+
+
+class TestEvolve:
+    @staticmethod
+    def hamiltonian(grid):
+        system = ParticleSystem(3, masses=[1.0, 2.0, 1.5])
+        potential = spring_potential([(2, 0, 1.0), (2, 1, 2.5), (0, 1, 0.7)])
+        return reduced_quantum_hamiltonian(FRAME_A, potential, system, [("B", grid), ("C", grid)])
+
+    @pytest.mark.parametrize("representation", ["position", "momentum", "mixed"])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_matches_unfused_loop(self, rng, n, representation):
+        grid = Grid1D(n, 16.0)
+        h = self.hamiltonian(grid)
+        psi = random_wavefunction([("B", grid), ("C", grid)], rng, frame=FRAME_A)
+        if representation == "momentum":
+            psi = to_representation(psi, MOMENTUM)
+        elif representation == "mixed":
+            psi = change_representation(psi, "C", MOMENTUM)
+        out = h.evolve(psi, 0.4, 1e-2)
+        expected = unfused_strang(h, psi, 0.4, 1e-2)
+        assert out.representation == psi.representation
+        assert out.frame == psi.frame
+        gap = np.linalg.norm(out.amplitudes - expected.amplitudes)
+        assert gap <= 1e-13 * np.linalg.norm(expected.amplitudes)
+
+    @pytest.mark.parametrize("t", [0.0, 0.004])
+    def test_less_than_half_a_step_returns_input(self, grid16, rng, t):
+        psi = random_wavefunction([("B", grid16), ("C", grid16)], rng, frame=FRAME_A)
+        assert self.hamiltonian(grid16).evolve(psi, t, 1e-2) is psi
+
+    @pytest.mark.parametrize(
+        "t, dt",
+        [
+            (-0.5, 1e-2),
+            (float("nan"), 1e-2),
+            (float("inf"), 1e-2),
+            (1.0, 0.0),
+            (1.0, -1e-2),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+            (1.0, 1e-320),
+        ],
+        ids=["t-negative", "t-nan", "t-inf", "dt-zero", "dt-negative", "dt-nan", "dt-inf", "step-count-overflow"],
+    )
+    def test_invalid_step_rejected(self, grid16, rng, t, dt):
+        psi = random_wavefunction([("B", grid16), ("C", grid16)], rng, frame=FRAME_A)
+        with pytest.raises(InvalidStep):
+            self.hamiltonian(grid16).evolve(psi, t, dt)
 
 
 class TestConstraintSurface:
