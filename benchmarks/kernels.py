@@ -1,0 +1,179 @@
+"""Per-call time of one qrf kernel for one or more source trees.
+
+    python3 benchmarks/kernels.py KERNEL LABEL=SRC [LABEL=SRC ...] --out BENCH.json
+
+KERNEL is one of:
+
+* ``evolve``: ``GridHamiltonian.evolve`` in microseconds per step at
+  n = 128, 256 and 512.  A child builds the frame-C oscillator Hamiltonian
+  and a product of displaced Gaussians, runs one warm-up call, then times
+  ``evolve`` over a fixed number of steps and divides by the step count (the
+  entry and exit representation changes are included, amortized over the
+  steps).  It fails on a norm drift above 1e-10.
+* ``marginal``: ``marginal_wigner`` in milliseconds per marginal at
+  ``points`` = 51, 101 and 201 output points per axis, on the windows the
+  ``wigner-study`` runner uses, for the excited-excited study at equal widths
+  (presets fig9).  A child runs one warm-up call, then times the keep-B and
+  keep-C marginals together and halves the time.  It fails when either
+  marginal's integral is off 1 by more than 1e-4.
+
+Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
+For every size and each of 11 repeats, each tree is timed in a fresh child
+process with the BLAS/OpenMP pools pinned to one thread; the order of the
+trees alternates between repeats, so slow stretches of a shared host fall on
+both sides.  A child reports the fastest of three timed calls.  The JSON
+holds, per size and tree, every repeat's value with their median and
+quartiles, plus the kernel's settings, the machine and the library versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+from typing import Callable
+
+REPEATS = 11
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+EVOLVE_STEPS = {128: 100, 256: 50, 512: 20}
+EVOLVE_DT = 1e-2
+
+EVOLVE_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from qrf.classical import FRAME_C
+from qrf.dynamics import OscillatorParams
+from qrf.grids import Grid1D, gaussian_state, product_state
+from qrf.physical import reduced_quantum_hamiltonian
+n, steps, dt = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+grid = Grid1D(n, 40.0)
+params = OscillatorParams()
+h = reduced_quantum_hamiltonian(FRAME_C, params.potential(), params.system(), [("A", grid), ("B", grid)])
+psi = product_state(gaussian_state(grid, "A", center=1.0), gaussian_state(grid, "B", center=-0.5), frame=FRAME_C)
+h.evolve(psi, dt, dt)
+best = float("inf")
+for _ in range(3):
+    start = time.perf_counter()
+    out = h.evolve(psi, steps * dt, dt)
+    best = min(best, time.perf_counter() - start)
+if abs(out.norm() - psi.norm()) > 1e-10:
+    sys.exit(f"norm drift {abs(out.norm() - psi.norm()):.2e}")
+print(1e6 * best / steps)
+"""
+
+MARGINAL_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from qrf.wigner import marginal_wigner, transformed_joint_wigner
+points = int(sys.argv[2])
+joint = transformed_joint_wigner(1, 1, 1.0, 1.0)
+x = np.linspace(-6.0, 6.0, points)
+marginal_wigner(joint, "B", x, x)
+best = float("inf")
+for _ in range(3):
+    start = time.perf_counter()
+    grids = [marginal_wigner(joint, keep, x, x) for keep in ("B", "C")]
+    best = min(best, time.perf_counter() - start)
+for grid in grids:
+    if abs(grid.integral() - 1.0) > 1e-4:
+        sys.exit(f"marginal normalization off: {grid.integral():.6f}")
+print(1e3 * best / 2)
+"""
+
+
+@dataclass(frozen=True)
+class Kernel:
+    metric: str
+    unit: str
+    size_name: str
+    sizes: tuple
+    child: str
+    child_args: Callable[[int], tuple]  # the child's argv after SRC, for one size
+    settings: dict
+
+
+KERNELS = {
+    "evolve": Kernel(
+        "evolve step time", "us per step", "n", (128, 256, 512), EVOLVE_CHILD,
+        lambda n: (n, EVOLVE_STEPS[n], EVOLVE_DT),
+        {"steps_per_call": {f"n{n}": s for n, s in EVOLVE_STEPS.items()}, "dt": EVOLVE_DT},
+    ),
+    "marginal": Kernel(
+        "marginal_wigner time", "ms per marginal", "points", (51, 101, 201), MARGINAL_CHILD,
+        lambda points: (points,),
+        {"levels": [1, 1], "alphas": [1.0, 1.0], "window": [-6.0, 6.0], "quad_points": 64},
+    ),
+}
+
+
+def measure(kernel, src, size):
+    env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
+    args = [sys.executable, "-c", kernel.child, src, *map(str, kernel.child_args(size))]
+    return float(subprocess.run(args, env=env, check=True, capture_output=True, text=True).stdout)
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def environment():
+    import numpy
+
+    cpu = "unknown"
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo") as handle:
+            names = [line.split(":", 1)[1].strip() for line in handle if line.startswith("model name")]
+        cpu = names[0] if names else cpu
+    return {
+        "cpu": cpu,
+        "logical_cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "system": f"{platform.system()} {platform.release()}",
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "threads": 1,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("kernel", choices=sorted(KERNELS))
+    parser.add_argument("trees", nargs="+", metavar="LABEL=SRC")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    kernel = KERNELS[args.kernel]
+    trees = [tree.split("=", 1) for tree in args.trees]
+    results = {}
+    for size in kernel.sizes:
+        values = {label: [] for label, _ in trees}
+        for repeat in range(REPEATS):
+            order = trees if repeat % 2 == 0 else trees[::-1]
+            for label, src in order:
+                values[label].append(measure(kernel, os.path.abspath(src), size))
+        key = f"{kernel.size_name}{size}"
+        results[key] = {label: summary(v) for label, v in values.items()}
+        print(key, {label: round(s["median"], 1) for label, s in results[key].items()}, flush=True)
+    report = {
+        "kernel": args.kernel,
+        "metric": kernel.metric,
+        "unit": kernel.unit,
+        "settings": kernel.settings,
+        "repeats": REPEATS,
+        "environment": environment(),
+        "results": results,
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    main()

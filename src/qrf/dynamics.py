@@ -147,7 +147,8 @@ def integrate_reduced(
 
     order=2 is the plain kick-drift-kick leapfrog; order=4 composes three
     leapfrog substeps with Yoshida weights.  Free flow (V = 0) is exact for
-    both.  Samples are stored every step from t = 0 to t ~ t_final.
+    both.  Samples are stored every step from t = 0 to t ~ t_final; a span of
+    less than half a step gives the initial sample alone.
     """
     # written so that NaN fails every comparison; t_final / dt must stay finite
     if not (0 < dt < math.inf and 0 <= t_final / dt < math.inf):
@@ -155,7 +156,7 @@ def integrate_reduced(
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     system.check_frame(initial.frame)
-    steps = max(1, int(round(t_final / dt)))
+    steps = int(round(t_final / dt))
     others = list(initial.labels)
     drift = 2.0 * kinetic_matrix(system, initial.frame)  # dq/dt = dT/dp
     pinned = pin_frame(initial.q_rel, initial.frame)  # one buffer; frame slot stays 0

@@ -9,12 +9,15 @@ from qrf.errors import ConfigError, UnknownFigure
 from qrf.experiments import (
     ExperimentConfig,
     FIGURE_PRESETS,
+    _wigner_csv_columns,
+    _write_csv,
     emit_figure_data,
     figure_config,
     load_config,
     parse_config_text,
     run_experiment,
 )
+from qrf.wigner import WignerGrid
 
 
 class TestConfigParsing:
@@ -88,6 +91,41 @@ class TestFigurePresets:
         manifest = emit_figure_data("fig8", tmp_path)
         names = {entry["name"] for entry in manifest["files"]}
         assert names == {"fig8_marginal_B.csv", "fig8_marginal_C.csv"}
+
+
+def per_value_csv(columns, rows) -> bytes:
+    """Reference: the value-by-value formatting the row template replaces."""
+    lines = [",".join(columns)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriter:
+    SPECIAL = (0.0, -0.0, 5e-324, 1e300, -1.5, math.pi)
+
+    @pytest.mark.parametrize("rows", [1, 1024, 1025, 2049])
+    def test_bytes_match_per_value_formatting(self, tmp_path, rows):
+        # wide exponents and signs in every column; the specials lead each column
+        rng = np.random.default_rng(rows)
+        columns = ["a", "b", "c", "d", "e", "f"]
+        data = rng.standard_normal((len(columns), rows)) * 10.0 ** rng.integers(-300, 300, (len(columns), rows))
+        for k, value in enumerate(self.SPECIAL):
+            data[k, 0] = value
+            data[-1 - k, -1] = value
+        entry = _write_csv(tmp_path / "t.csv", columns, tuple(data))
+        assert (tmp_path / "t.csv").read_bytes() == per_value_csv(columns, zip(*data))
+        assert entry == {"name": "t.csv", "rows": rows, "columns": columns}
+
+    @pytest.mark.parametrize(
+        "arrays", [(np.zeros(1025), np.zeros(1024)), (np.zeros(3),)], ids=["lengths", "count"]
+    )
+    def test_mismatched_columns_rejected(self, tmp_path, arrays):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "t.csv", ["a", "b"], arrays)
+
+    def test_wigner_columns_are_x_major(self):
+        grid = WignerGrid(np.arange(3.0), np.arange(4.0) / 8, np.arange(12.0).reshape(3, 4) ** 2)
+        rows = [(x, xi, grid.values[i, j]) for i, x in enumerate(grid.x) for j, xi in enumerate(grid.xi)]
+        assert list(zip(*(c.tolist() for c in _wigner_csv_columns(grid)))) == rows
 
 
 class TestRunExperiment:

@@ -117,6 +117,14 @@ class TestIntegrateReduced:
         with pytest.raises(InvalidStep):
             integrate_reduced(rp, FREE_POTENTIAL, ParticleSystem(3), t_final, dt)
 
+    @pytest.mark.parametrize("t_final", [0.0, 0.004])
+    def test_less_than_half_a_step_is_the_initial_point(self, t_final):
+        rp = ReducedPhasePoint(FRAME_A, [0.3, -0.2], [0.5, 0.1])
+        traj = integrate_reduced(rp, FREE_POTENTIAL, ParticleSystem(3), t_final, 0.01)
+        assert traj.times.tolist() == [0.0]
+        assert traj.q.tolist() == [[0.3, -0.2]]
+        assert traj.p.tolist() == [[0.5, 0.1]]
+
     def test_matches_analytic_oscillators(self):
         params = OscillatorParams(k_a=1.0, k_b=4.0, a0=1.0, b0=1.0, phi_b=np.pi / 2)
         rp_a = matched_initial_conditions(params, frame_c=False)

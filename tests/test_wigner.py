@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -174,7 +176,44 @@ class TestTransformedJoint:
         assert np.min(values) >= 0.0
 
 
+def unfactored_marginal(joint, keep, x, xi, quad_points=64, tail=8.0):
+    """Reference: the node-by-node quadrature, one (q, q, points) block per row."""
+    sigma_x = 1.0 / math.sqrt(min(joint.alpha_a, joint.alpha_b))
+    sigma_p = math.sqrt(max(joint.alpha_a, joint.alpha_b))
+    half_x = float(np.max(np.abs(x))) + tail * sigma_x
+    half_p = float(np.max(np.abs(xi))) + tail * sigma_p
+    u = np.linspace(-half_x, half_x, quad_points)
+    v = np.linspace(-half_p, half_p, quad_points)
+    du = u[1] - u[0]
+    dv = v[1] - v[0]
+    values = np.empty((x.shape[0], xi.shape[0]))
+    for i, xo in enumerate(x):
+        if keep == "B":
+            block = joint(xo, u[:, None, None], xi[None, None, :], v[None, :, None])
+        else:
+            block = joint(u[:, None, None], xo, v[None, :, None], xi[None, None, :])
+        values[i] = np.sum(block, axis=(0, 1)) * du * dv
+    return values
+
+
 class TestMarginals:
+    def test_matches_unfactored_quadrature(self):
+        # unequal, asymmetric output axes so a transposed table cannot pass
+        x = np.linspace(-7.0, 6.0, 31)
+        xi = np.linspace(-4.5, 5.0, 23)
+        for alpha_a, alpha_b in ((0.1, 1.0), (0.4, 2.5)):
+            for level_a in (0, 1):
+                for level_b in (0, 1):
+                    joint = transformed_joint_wigner(level_a, level_b, alpha_a, alpha_b)
+                    for keep in ("B", "C"):
+                        expected = unfactored_marginal(joint, keep, x, xi)
+                        got = marginal_wigner(joint, keep, x, xi)
+                        assert got.values.shape == (x.shape[0], xi.shape[0])
+                        gap = np.max(np.abs(got.values - expected))
+                        assert gap <= 1e-13 * np.max(np.abs(expected)), (
+                            level_a, level_b, alpha_a, alpha_b, keep, gap
+                        )
+
     def test_oracle_triangle_ground_ground(self, grid128):
         # closed-form quadrature route vs switched-state partial-trace route
         # for the ground-ground study at width ratio 0.1 (scaled so both
