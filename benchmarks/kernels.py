@@ -108,7 +108,7 @@ KERNELS = {
     "marginal": Kernel(
         "marginal_wigner time", "ms per marginal", "points", (51, 101, 201), MARGINAL_CHILD,
         lambda points: (points,),
-        {"levels": [1, 1], "alphas": [1.0, 1.0], "window": [-6.0, 6.0], "quad_points": 64},
+        {"levels": [1, 1], "alphas": [1.0, 1.0], "window": [-6.0, 6.0], "quad_points": 3},
     ),
 }
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qrf import experiments
 from qrf.cli import main
 from qrf.errors import ConfigError, UnknownFigure
 from qrf.experiments import (
@@ -203,8 +204,14 @@ class TestCommandLine:
             "alpha_a = 1\nalpha_b = 1\n",
             "kind = wigner-study\nmode = eigenstates\npoints = 1\n",
             "kind = classical-trajectory\nomega_a = 1\nomega_b = 1\na0 = 1\nb0 = 1\nm_c = -1.0\n",
+            "kind = wigner-study\nmode = marginals\nlevel_a = 0\nlevel_b = 0\n"
+            "alpha_a = nan\nalpha_b = 1\n",
+            "kind = wigner-study\nmode = eigenstates\nalpha = nan\n",
         ],
-        ids=["t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative"],
+        ids=[
+            "t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative",
+            "alpha_a-nan", "alpha-nan",
+        ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):
         path = tmp_path / "bad.cfg"
@@ -213,6 +220,27 @@ class TestCommandLine:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qrf: ")
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("error", [1e-9, math.nan], ids=["offset", "nan"])
+    def test_unconverged_marginal_exits_3(self, tmp_path, capsys, monkeypatch, error):
+        real = experiments.marginal_wigner
+
+        def perturbed(joint, keep, x, xi, quad_points=3):
+            grid = real(joint, keep, x, xi, quad_points=quad_points)
+            if quad_points != 5:
+                return grid
+            return WignerGrid(grid.x, grid.xi, grid.values + error)
+
+        monkeypatch.setattr(experiments, "marginal_wigner", perturbed)
+        out = tmp_path / "out"
+        path = tmp_path / "study.cfg"
+        path.write_text(
+            "kind = wigner-study\nmode = marginals\nlevel_a = 1\nlevel_b = 1\n"
+            f"alpha_a = 1\nalpha_b = 1\npoints = 21\noutput_dir = {out}\n"
+        )
+        assert main(["run", str(path)]) == 3
+        assert "not converged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_suite_command(self, tmp_path):
         assert main(["suite", "--seed", "2", "--out", str(tmp_path)]) == 0

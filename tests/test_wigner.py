@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from qrf.classical import FRAME_A, FRAME_C
 from qrf.errors import InvalidDensityMatrix
+from qrf.experiments import FIGURE_PRESETS, emit_figure_data
 from qrf.grids import (
     MOMENTUM,
     Grid1D,
@@ -176,8 +177,11 @@ class TestTransformedJoint:
         assert np.min(values) >= 0.0
 
 
-def unfactored_marginal(joint, keep, x, xi, quad_points=64, tail=8.0):
-    """Reference: the node-by-node quadrature, one (q, q, points) block per row."""
+def unfactored_marginal(joint, keep, x, xi, quad_points=256, tail=8.0):
+    """Reference: the node-by-node trapezoid rule, one (q, q, points) block per row.
+
+    256 nodes resolve every preset (α ≥ 0.1); 64 alias the α_A = 0.1 case.
+    """
     sigma_x = 1.0 / math.sqrt(min(joint.alpha_a, joint.alpha_b))
     sigma_p = math.sqrt(max(joint.alpha_a, joint.alpha_b))
     half_x = float(np.max(np.abs(x))) + tail * sigma_x
@@ -213,6 +217,30 @@ class TestMarginals:
                         assert gap <= 1e-13 * np.max(np.abs(expected)), (
                             level_a, level_b, alpha_a, alpha_b, keep, gap
                         )
+
+    @pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8", "fig9"])
+    def test_figure_csvs_match_trapezoid_oracle(self, tmp_path, figure):
+        emit_figure_data(figure, tmp_path)
+        preset = FIGURE_PRESETS[figure]
+        joint = transformed_joint_wigner(
+            preset["level_a"], preset["level_b"], preset["alpha_a"], preset["alpha_b"]
+        )
+        points = preset["points"]
+        for keep in ("B", "C"):
+            x, xi, w = np.loadtxt(
+                tmp_path / f"{figure}_marginal_{keep}.csv", delimiter=",", skiprows=1, unpack=True
+            )
+            x, xi, w = (col.reshape(points, points)[::10, ::10] for col in (x, xi, w))
+            expected = unfactored_marginal(joint, keep, x[:, 0], xi[0])
+            gap = np.max(np.abs(w - expected))
+            assert gap <= 1e-12 * np.max(np.abs(expected)), (figure, keep, gap)
+
+    @pytest.mark.parametrize("quad_points", [0, -3, 2.0, 3.5, "3", None])
+    def test_invalid_quad_points_rejected(self, quad_points):
+        joint = transformed_joint_wigner(0, 0, 1.0, 1.0)
+        x = np.linspace(-3.0, 3.0, 5)
+        with pytest.raises(ValueError):
+            marginal_wigner(joint, "B", x, x, quad_points=quad_points)
 
     def test_oracle_triangle_ground_ground(self, grid128):
         # closed-form quadrature route vs switched-state partial-trace route
