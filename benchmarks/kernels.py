@@ -15,15 +15,17 @@ KERNEL is one of:
   ``wigner-study`` runner uses, for the excited-excited study at equal widths
   (presets fig9).  A child runs one warm-up call, then times the keep-B and
   keep-C marginals together and halves the time.  It fails when either
-  marginal's integral is off 1 by more than 1e-4.
+  marginal's integral is off 1 by more than 1e-4.  Each tree runs its own
+  default quadrature rule.
 
 Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
 For every size and each of 11 repeats, each tree is timed in a fresh child
 process with the BLAS/OpenMP pools pinned to one thread; the order of the
 trees alternates between repeats, so slow stretches of a shared host fall on
-both sides.  A child reports the fastest of three timed calls.  The JSON
-holds, per size and tree, every repeat's value with their median and
-quartiles, plus the kernel's settings, the machine and the library versions.
+both sides.  A child prints the fastest of three timed calls, then the
+tree's ``qrf.__version__``.  The JSON holds, per size and tree, every
+repeat's value with their median and quartiles, plus the kernel's settings,
+the machine, and each tree's library version under ``versions``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EVOLVE_CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
+import qrf
 from qrf.classical import FRAME_C
 from qrf.dynamics import OscillatorParams
 from qrf.grids import Grid1D, gaussian_state, product_state
@@ -64,13 +67,14 @@ for _ in range(3):
     best = min(best, time.perf_counter() - start)
 if abs(out.norm() - psi.norm()) > 1e-10:
     sys.exit(f"norm drift {abs(out.norm() - psi.norm()):.2e}")
-print(1e6 * best / steps)
+print(1e6 * best / steps, qrf.__version__)
 """
 
 MARGINAL_CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
+import qrf
 from qrf.wigner import marginal_wigner, transformed_joint_wigner
 points = int(sys.argv[2])
 joint = transformed_joint_wigner(1, 1, 1.0, 1.0)
@@ -84,7 +88,7 @@ for _ in range(3):
 for grid in grids:
     if abs(grid.integral() - 1.0) > 1e-4:
         sys.exit(f"marginal normalization off: {grid.integral():.6f}")
-print(1e3 * best / 2)
+print(1e3 * best / 2, qrf.__version__)
 """
 
 
@@ -108,15 +112,18 @@ KERNELS = {
     "marginal": Kernel(
         "marginal_wigner time", "ms per marginal", "points", (51, 101, 201), MARGINAL_CHILD,
         lambda points: (points,),
-        {"levels": [1, 1], "alphas": [1.0, 1.0], "window": [-6.0, 6.0], "quad_points": 3},
+        {"levels": [1, 1], "alphas": [1.0, 1.0], "window": [-6.0, 6.0]},
     ),
 }
 
 
 def measure(kernel, src, size):
+    """One child's time and the version of the qrf it imported."""
     env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
     args = [sys.executable, "-c", kernel.child, src, *map(str, kernel.child_args(size))]
-    return float(subprocess.run(args, env=env, check=True, capture_output=True, text=True).stdout)
+    out = subprocess.run(args, env=env, check=True, capture_output=True, text=True).stdout
+    value, version = out.split()
+    return float(value), version
 
 
 def summary(values):
@@ -152,12 +159,14 @@ def main(argv=None):
     kernel = KERNELS[args.kernel]
     trees = [tree.split("=", 1) for tree in args.trees]
     results = {}
+    versions = {}
     for size in kernel.sizes:
         values = {label: [] for label, _ in trees}
         for repeat in range(REPEATS):
             order = trees if repeat % 2 == 0 else trees[::-1]
             for label, src in order:
-                values[label].append(measure(kernel, os.path.abspath(src), size))
+                value, versions[label] = measure(kernel, os.path.abspath(src), size)
+                values[label].append(value)
         key = f"{kernel.size_name}{size}"
         results[key] = {label: summary(v) for label, v in values.items()}
         print(key, {label: round(s["median"], 1) for label, s in results[key].items()}, flush=True)
@@ -168,6 +177,7 @@ def main(argv=None):
         "settings": kernel.settings,
         "repeats": REPEATS,
         "environment": environment(),
+        "versions": versions,
         "results": results,
     }
     with open(args.out, "w", encoding="utf-8") as handle:

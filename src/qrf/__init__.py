@@ -1,7 +1,7 @@
 """Reference frames as physical particles in 1D: classical reductions, quantum
 frame switches, and phase-space analysis on spectral grids."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .classical import (
     FRAME_A,
@@ -50,14 +50,6 @@ from .grids import (
     to_representation,
 )
 from .observables import Observable
-from .dense import (
-    DenseOperator,
-    dense_momentum,
-    dense_observable,
-    dense_position,
-    dense_shear,
-    trivialization_family_check,
-)
 from .physical import (
     GridHamiltonian,
     PhysicalState,

@@ -76,8 +76,8 @@ class ParticleSystem:
         masses = np.asarray(masses, dtype=float)
         if masses.shape != (self.n,):
             raise ValueError(f"expected {self.n} masses, got shape {masses.shape}")
-        if np.any(masses <= 0):
-            raise ValueError("all masses must be positive")
+        if not np.all((0 < masses) & (masses < np.inf)):  # NaN fails it
+            raise ValueError(f"all masses must be positive and finite, got {masses}")
         masses = masses.copy()
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
@@ -238,19 +238,19 @@ def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
     )
 
 
-def project_reduced(
-    point: ExtendedPhasePoint, frame: FrameLabel, tol: float = CONSTRAINT_TOL
-) -> ReducedPhasePoint:
+def project_reduced(point: ExtendedPhasePoint, frame: FrameLabel) -> ReducedPhasePoint:
     """Drop the frame particle's coordinates from a gauge-fixed on-surface point."""
     if frame.index >= point.n:
         raise ValueError(f"frame index {frame.index} out of range for n={point.n}")
     momentum = total_momentum(point)
-    if abs(momentum) > tol:
-        raise ConstraintViolation(f"total momentum {momentum:.3e} exceeds tolerance {tol:.1e}")
-    if abs(point.q[frame.index]) > tol:
+    if abs(momentum) > CONSTRAINT_TOL:
+        raise ConstraintViolation(
+            f"total momentum {momentum:.3e} exceeds tolerance {CONSTRAINT_TOL:.1e}"
+        )
+    if abs(point.q[frame.index]) > CONSTRAINT_TOL:
         raise ConstraintViolation(
             f"gauge condition q_{frame.name} = {point.q[frame.index]:.3e} "
-            f"exceeds tolerance {tol:.1e}"
+            f"exceeds tolerance {CONSTRAINT_TOL:.1e}"
         )
     others = [i for i in range(point.n) if i != frame.index]
     return ReducedPhasePoint(frame, point.q[others], point.p[others])
@@ -271,42 +271,34 @@ def classical_frame_switch(rp: ReducedPhasePoint, new_frame: FrameLabel) -> Redu
     return project_reduced(shifted, new_frame)
 
 
-def _fd_gradients(f, q, p, h):
+def _fd_gradients(f, point: ExtendedPhasePoint):
     """Central-difference gradients of f(q, p) with respect to q and p."""
-    dq = _central_difference(lambda qs: f(qs, p), q, h)
-    dp = _central_difference(lambda ps: f(q, ps), p, h)
+    dq = _central_difference(lambda qs: f(qs, point.p), point.q, BRACKET_FD_STEP)
+    dp = _central_difference(lambda ps: f(point.q, ps), point.p, BRACKET_FD_STEP)
     return dq, dp
 
 
-def poisson_bracket(f, g, point: ExtendedPhasePoint, h: float = BRACKET_FD_STEP) -> float:
-    """{f, g} at a point, with gradients from central differences of step h."""
-    fq, fp = _fd_gradients(f, point.q, point.p, h)
-    gq, gp = _fd_gradients(g, point.q, point.p, h)
+def poisson_bracket(f, g, point: ExtendedPhasePoint) -> float:
+    """{f, g} at a point, with gradients from central differences."""
+    fq, fp = _fd_gradients(f, point)
+    gq, gp = _fd_gradients(g, point)
     return float(fq @ gp - fp @ gq)
 
 
-def dirac_bracket(
-    f, g, point: ExtendedPhasePoint, frame: FrameLabel, h: float = BRACKET_FD_STEP
-) -> float:
+def dirac_bracket(f, g, point: ExtendedPhasePoint, frame: FrameLabel) -> float:
     """Bracket on the surface gauge-fixed by chi = q_frame.
 
     {f,g}_D = {f,g} - {f,P}{chi,g} + {f,chi}{P,g} with P the total momentum.
-    Phase-space functions are callables f(q, p); all brackets are evaluated
-    numerically, so expect finite-difference noise of order h^2 on smooth
-    non-polynomial arguments.
+    P and chi are linear, so their brackets are exact in the gradients of f
+    and g: {f,P} = sum_i df/dq_i, {chi,g} = dg/dp_frame, {f,chi} =
+    -df/dp_frame and {P,g} = -sum_i dg/dq_i.  Phase-space functions are
+    callables f(q, p) whose gradients are central differences, so expect
+    noise of order BRACKET_FD_STEP^2 on smooth non-polynomial arguments.
     """
-
-    def chi(q, p):
-        return q[frame.index]
-
-    def momentum(q, p):
-        return float(np.sum(p))
-
-    return (
-        poisson_bracket(f, g, point, h)
-        - poisson_bracket(f, momentum, point, h) * poisson_bracket(chi, g, point, h)
-        + poisson_bracket(f, chi, point, h) * poisson_bracket(momentum, g, point, h)
-    )
+    fq, fp = _fd_gradients(f, point)
+    gq, gp = _fd_gradients(g, point)
+    k = frame.index
+    return float(fq @ gp - fp @ gq - np.sum(fq) * gp[k] + fp[k] * np.sum(gq))
 
 
 def lagrangian_momenta(velocities) -> np.ndarray:

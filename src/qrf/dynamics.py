@@ -51,9 +51,15 @@ class OscillatorParams:
     phi_b: float = 0.0
 
     def __post_init__(self):
+        # written so that NaN fails both checks
         for name in ("m_a", "m_b", "m_c", "k_a", "k_b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("a0", "b0", "phi_a", "phi_b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def omega_a(self) -> float:
@@ -207,16 +213,18 @@ def analytic_oscillator_frame_a(params: OscillatorParams, t):
 
 
 def acceleration_identity_check(
-    potential: Potential, rp: ReducedPhasePoint, dt: float = 1e-3
+    potential: Potential, rp: ReducedPhasePoint
 ) -> tuple[float, float]:
     """Residuals of the relative accelerations against the potential gradients.
 
     For three particles in frame A the reduced equations of motion give
     qdd_B = -2 dV/dq_B - dV/dq_C and symmetrically for C.  The left side is
-    obtained by second-differencing a three-sample integrated trajectory.
+    obtained by second-differencing a three-sample integrated trajectory of
+    step 1e-3.
     """
     if rp.n != 3 or rp.frame.index != 0:
         raise ValueError("acceleration identities are stated for N=3 in frame A")
+    dt = 1e-3
     system = ParticleSystem(3)
     traj = integrate_reduced(rp, potential, system, 2 * dt, dt)
     qdd = (traj.q[0] - 2 * traj.q[1] + traj.q[2]) / dt**2

@@ -33,14 +33,6 @@ class GridMismatch(QRFError):
     """Two states do not share grids, axis order or representations."""
 
 
-class TooLarge(QRFError):
-    """A dense-matrix oracle was requested above the supported dimension."""
-
-
-class KOutOfRange(QRFError):
-    """Momentum offset is outside the grid range or not grid-commensurate."""
-
-
 class NonHermitianObservable(QRFError):
     """An expectation value was requested for a non-Hermitian observable."""
 

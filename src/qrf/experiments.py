@@ -56,6 +56,10 @@ from .wigner import (
 
 KINDS = ("classical-trajectory", "wigner-study", "invariant-suite")
 
+#: Most CSV rows a classical-trajectory run may write: 2**20, about 52 times
+#: the 20,001 of fig3 and fig4, five float64 columns of 8 MiB each.
+MAX_TRAJECTORY_ROWS = 2**20
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -310,7 +314,12 @@ def _run_classical_trajectory(config: ExperimentConfig):
     # written so that NaN fails both comparisons
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ConfigError(f"t_final and dt must be positive and finite, got {t_final} and {dt}")
-    times = np.arange(int(round(t_final / dt)) + 1) * dt
+    steps = t_final / dt  # inf once the ratio overflows
+    if not (steps + 1 <= MAX_TRAJECTORY_ROWS):
+        raise ConfigError(
+            f"t_final / dt = {steps:.3g} asks for more than {MAX_TRAJECTORY_ROWS} rows"
+        )
+    times = np.arange(int(round(steps)) + 1) * dt
     x_a, x_b = analytic_oscillator_frame_c(params, times)
     q_b, q_c = analytic_oscillator_frame_a(params, times)
     entry = _write_csv(
@@ -343,6 +352,8 @@ def _run_wigner_study(config: ExperimentConfig):
         with _config_values(config.kind):
             alpha = float(p.get("alpha", 1.0))
             half_width = float(p.get("half_width", 5.0))
+            if not (0 < half_width < math.inf):  # NaN fails it
+                raise ValueError(f"half_width must be positive and finite, got {half_width}")
             x = np.linspace(-half_width, half_width, points)
             grids = [closed_form_eigenstate_wigner(level, alpha, x, x * alpha) for level in (0, 1)]
         for grid, tag in zip(grids, ("ground", "excited")):

@@ -50,8 +50,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not (0 < self.length < math.inf):  # NaN fails it
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -394,10 +394,9 @@ def product_state(
 def random_wavefunction(
     subsystems,
     rng: np.random.Generator,
-    terms: int = 4,
     frame: FrameLabel | None = None,
 ) -> WaveFunction:
-    """Seeded random superposition of displaced Gaussians, boundary-safe.
+    """Seeded random superposition of four displaced Gaussians, boundary-safe.
 
     Widths, centers and momenta are drawn from narrow ranges so that the
     state decays below the boundary tolerance in both representations on the
@@ -407,7 +406,7 @@ def random_wavefunction(
     grids = [grid for _, grid in subsystems]
     meshes = np.meshgrid(*[g.positions() for g in grids], indexing="ij")
     total = np.zeros(tuple(g.n for g in grids), dtype=complex)
-    for _ in range(terms):
+    for _ in range(4):
         coeff = rng.normal() + 1j * rng.normal()
         term = np.ones_like(total) * coeff
         for mesh in meshes:

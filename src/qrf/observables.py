@@ -85,8 +85,8 @@ class Observable:
     def labels(self) -> set[str]:
         return {key[0] for mono in self._terms for key, _ in mono}
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(complex(c).imag) <= tol for c in self._terms.values())
+    def is_hermitian(self) -> bool:
+        return all(abs(complex(c).imag) <= 1e-12 for c in self._terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, Observable):

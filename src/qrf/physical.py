@@ -16,7 +16,7 @@ exp(i q_F (sum of other momenta + k)): it shifts the frame momentum so the
 constraint acts on the frame slot alone, after which projecting that slot out
 leaves the reduced amplitude.  Any k gives the same reduction; the
 k-parametrized family is checked against small dense oracles by
-:func:`qrf.dense.trivialization_family_check`.
+``trivialization_family_check`` in the test suite's ``tests/oracles.py``.
 """
 
 from __future__ import annotations

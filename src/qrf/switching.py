@@ -139,8 +139,8 @@ def dynamics_frame_commutation(
     psi: WaveFunction,
     params: OscillatorParams,
     t: float,
+    sw: FrameSwitch,
     dt: float = 1e-3,
-    sw: FrameSwitch | None = None,
 ) -> CommutationReport:
     """Check that time evolution commutes with the frame switch.
 
@@ -148,10 +148,6 @@ def dynamics_frame_commutation(
     switched, versus switched and then evolved under the new frame's
     Hamiltonian for the same springs and masses.
     """
-    if sw is None:
-        if psi.frame is None:
-            raise FrameMismatch("state carries no frame tag")
-        sw = FrameSwitch(psi.frame, FrameLabel(0) if psi.frame.index != 0 else FrameLabel(2))
     if t < 0:
         raise ValueError("t must be non-negative")
     system = params.system()

@@ -99,7 +99,7 @@ class DensityMatrix:
     plain matrix trace.
     """
 
-    def __init__(self, matrix, grid: Grid1D, tol: float = 1e-8):
+    def __init__(self, matrix, grid: Grid1D):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (grid.n, grid.n):
             raise InvalidDensityMatrix(
@@ -112,7 +112,7 @@ class DensityMatrix:
         if abs(trace - 1.0) > 1e-10:
             raise InvalidDensityMatrix(f"trace {trace:.12f} is not 1")
         eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-        if eigenvalues.min() < -tol:
+        if eigenvalues.min() < -1e-8:
             raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues.min():.3e}")
         matrix = matrix.copy()
         matrix.setflags(write=False)

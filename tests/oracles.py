@@ -1,8 +1,8 @@
 """Dense-matrix oracles over the flattened grid basis.
 
 These matrices exist only for cross-validation at small grid sizes: every
-spectral operation in the library has a brute-force counterpart here, and no
-production module imports this one.  The convention is the flattened
+spectral operation in the library has a brute-force counterpart here, and
+they ship with the tests, not with the ``qrf`` package.  The convention is the flattened
 *position* basis in subsystem order (C-order), with amplitudes weighted by
 sqrt(cell volume) so that unitary operators are unitary matrices.
 
@@ -10,7 +10,8 @@ Besides the per-axis operators, the module holds the explicit reduced
 Hamiltonian matrix and its ground energy, the band-limited refinement matrix
 behind the Wigner transform, and the k-shifted trivialization check, whose
 per-block dense algebra confirms the redundancy-removing map of
-:mod:`qrf.physical`.
+:mod:`qrf.physical`.  Test modules import it as ``oracles``: pytest puts this
+directory on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -21,12 +22,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import KOutOfRange, TooLarge
-from .grids import POSITION, Grid1D, WaveFunction, to_representation
-from .observables import Observable
-from .physical import GridHamiltonian, PhysicalState, _trivialized_reduction
+from qrf.errors import QRFError
+from qrf.grids import POSITION, Grid1D, WaveFunction, to_representation
+from qrf.observables import Observable
+from qrf.physical import GridHamiltonian, PhysicalState, _trivialized_reduction
 
 MAX_DENSE_DIM = 4096
+
+
+class TooLarge(QRFError):
+    """A dense-matrix oracle was requested above the supported dimension."""
+
+
+class KOutOfRange(QRFError):
+    """Momentum offset is outside the grid range or not grid-commensurate."""
 
 
 def _check_dim(subsystems) -> int:
@@ -56,10 +65,6 @@ class DenseOperator:
             raise ValueError(f"matrix shape {matrix.shape} does not match dimension {dim}")
         self.matrix = matrix
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, psi: WaveFunction) -> WaveFunction:
         """Matrix action on a state; returns the result in position representation."""
         work = to_representation(psi, POSITION)
@@ -77,11 +82,6 @@ class DenseOperator:
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.subsystems != other.subsystems:
-            raise ValueError("operators act on different subsystem sets")
-        return DenseOperator(self.matrix @ other.matrix, self.subsystems)
 
 
 def _kron_all(blocks) -> np.ndarray:

@@ -28,7 +28,6 @@ from qrf.dynamics import (
     integrate_reduced,
     kinetic_matrix,
 )
-from qrf.dense import trivialization_family_check
 from qrf.experiments import emit_figure_data
 from qrf.grids import (
     Grid1D,
@@ -63,6 +62,8 @@ from qrf.wigner import (
     wigner_of_state,
     wigner_transform,
 )
+
+from oracles import trivialization_family_check
 
 GRID = Grid1D(128, 20.0)
 SWITCHED_GROUND_ENTROPY = 0.5533032997

@@ -184,6 +184,30 @@ class TestDiracBracket:
         assert abs(dirac_bracket(position_coordinate(1), momentum_coordinate(1), point, FRAME_B)) <= 1e-6
         assert abs(dirac_bracket(position_coordinate(0), momentum_coordinate(0), point, FRAME_B) - 1) <= 1e-6
 
+    @pytest.mark.parametrize("frame", [FRAME_A, FRAME_C], ids=["A", "C"])
+    def test_matches_five_bracket_definition(self, rng, frame):
+        # the linear brackets with P and chi = q_frame, taken here by finite differences
+        def f(q, p):
+            return np.sin(q[0] - q[1]) * p[2] + q[2] ** 2 * p[0] ** 3
+
+        def g(q, p):
+            return np.exp(0.3 * q[1]) * np.cos(p[1] - p[0]) + q[0] * q[2] * p[2]
+
+        def chi(q, p):
+            return q[frame.index]
+
+        def momentum(q, p):
+            return float(np.sum(p))
+
+        for _ in range(10):
+            point = on_surface_point(rng)
+            expected = (
+                poisson_bracket(f, g, point)
+                - poisson_bracket(f, momentum, point) * poisson_bracket(chi, g, point)
+                + poisson_bracket(f, chi, point) * poisson_bracket(momentum, g, point)
+            )
+            assert abs(dirac_bracket(f, g, point, frame) - expected) <= 1e-9
+
     def test_poisson_canonical_pairs(self, rng):
         point = on_surface_point(rng)
         assert abs(poisson_bracket(position_coordinate(1), momentum_coordinate(1), point) - 1) <= 1e-6

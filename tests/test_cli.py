@@ -179,6 +179,12 @@ class TestRunExperiment:
         assert all("value" in entry for entry in report["results"].values())
 
 
+def trajectory_config(**values) -> str:
+    """A valid classical-trajectory config body with some values replaced."""
+    values = {"omega_a": "1", "omega_b": "1", "a0": "1", "b0": "1", **values}
+    return "kind = classical-trajectory\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
 class TestCommandLine:
     def test_figure_command(self, tmp_path, capsys):
         code = main(["figure", "fig3", "--out", str(tmp_path)])
@@ -207,10 +213,22 @@ class TestCommandLine:
             "kind = wigner-study\nmode = marginals\nlevel_a = 0\nlevel_b = 0\n"
             "alpha_a = nan\nalpha_b = 1\n",
             "kind = wigner-study\nmode = eigenstates\nalpha = nan\n",
+            trajectory_config(omega_a="nan"),
+            trajectory_config(a0="nan"),
+            trajectory_config(b0="inf"),
+            trajectory_config(phi_a="nan"),
+            trajectory_config(m_a="nan"),
+            "kind = invariant-suite\ngrid_length = nan\n",
+            "kind = invariant-suite\ngrid_length = inf\n",
+            "kind = wigner-study\nmode = eigenstates\nhalf_width = nan\n",
+            trajectory_config(t_final="1e300", dt="1e-300"),
+            trajectory_config(t_final="1e4", dt="1e-5"),
         ],
         ids=[
             "t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative",
-            "alpha_a-nan", "alpha-nan",
+            "alpha_a-nan", "alpha-nan", "omega_a-nan", "a0-nan", "b0-inf", "phi_a-nan",
+            "m_a-nan", "grid_length-nan", "grid_length-inf", "half_width-nan",
+            "rows-overflow", "rows-over-cap",
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):

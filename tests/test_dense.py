@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrf.dense import (
+from qrf.grids import Grid1D, POSITION, gaussian_state, random_wavefunction, to_representation, inner_product
+from qrf.observables import Observable
+from qrf.wigner import partial_trace, refined_kernel
+
+from oracles import (
     DenseOperator,
+    TooLarge,
     dense_momentum,
     dense_observable,
     dense_position,
@@ -11,10 +16,6 @@ from qrf.dense import (
     fourier_matrix,
     refine_matrix,
 )
-from qrf.errors import TooLarge
-from qrf.grids import Grid1D, POSITION, gaussian_state, random_wavefunction, to_representation, inner_product
-from qrf.observables import Observable
-from qrf.wigner import partial_trace, refined_kernel
 
 
 class TestBuildingBlocks:
@@ -79,10 +80,3 @@ class TestDenseOperator:
     def test_shape_validation(self, grid16):
         with pytest.raises(ValueError):
             DenseOperator(np.eye(7), [("B", grid16)])
-
-    def test_matmul(self, grid16):
-        subsystems = [("B", grid16)]
-        q = dense_position(subsystems, "B")
-        p = dense_momentum(subsystems, "B")
-        qp = q @ p
-        assert_allclose(qp.matrix, q.matrix @ p.matrix)

@@ -4,7 +4,6 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qrf.classical import FRAME_A
-from qrf.dense import dense_momentum, dense_position, dense_shear
 from qrf.errors import AxisClash, GridMismatch, UnknownAxis
 from qrf.grids import (
     BOUNDARY_DECAY_TOL,
@@ -25,6 +24,8 @@ from qrf.grids import (
     with_axis_order,
 )
 from qrf.observables import Observable, commutator_expectation
+
+from oracles import dense_momentum, dense_position, dense_shear
 
 
 class TestGrid1D:

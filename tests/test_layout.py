@@ -1,4 +1,4 @@
-"""Module layout: dense-matrix oracles live in ``qrf.dense`` and nowhere else.
+"""Module layout: dense-matrix oracles live in ``tests/oracles.py``, not in the package.
 
 Production modules reach the Fourier transform only through the centered FFTs
 of ``qrf.grids``, and the caller's representation is restored by one helper,
@@ -8,34 +8,22 @@ point by point.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import qrf
+import qrf.errors
 import qrf.physical
 from qrf.classical import FRAME_A, FREE_POTENTIAL, ParticleSystem
 from qrf.physical import GridHamiltonian, reduced_quantum_hamiltonian
 
 SOURCES = sorted(Path(qrf.__file__).parent.glob("*.py"))
-ORACLE_IMPORTERS = {"dense.py", "__init__.py"}
 
 
 def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-
-def _imports_dense(tree) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
-            if node.level == 1 and (node.module == "dense" or (node.module is None and "dense" in names)):
-                return True
-            if node.level == 0 and (node.module == "qrf.dense" or (node.module == "qrf" and "dense" in names)):
-                return True
-        if isinstance(node, ast.Import) and any(alias.name == "qrf.dense" for alias in node.names):
-            return True
-    return False
 
 
 def _calls(tree, attr):
@@ -47,18 +35,23 @@ def _calls(tree, attr):
                 yield node
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_only_the_package_root_imports_the_oracles(path):
-    if path.name in ORACLE_IMPORTERS:
-        return
-    assert not _imports_dense(_tree(path)), f"{path.name} imports qrf.dense"
+def test_the_package_ships_no_oracles():
+    assert importlib.util.find_spec("qrf.dense") is None
+    oracles = {
+        "DenseOperator",
+        "dense_momentum",
+        "dense_observable",
+        "dense_position",
+        "dense_shear",
+        "trivialization_family_check",
+    }
+    assert not oracles & set(vars(qrf))
+    assert not {"TooLarge", "KOutOfRange"} & set(vars(qrf.errors))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_explicit_fourier_matrix_outside_the_oracles(path):
     # the DFT-matrix idiom is exp(+-i outer(p, x)); production code uses FFTs
-    if path.name == "dense.py":
-        return
     for call in _calls(_tree(path), "exp"):
         assert not any(True for _ in _calls(call, "outer")), (
             f"{path.name}:{call.lineno} builds an explicit Fourier matrix"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qrf.dense import dense_momentum, dense_observable, dense_position
 from qrf.errors import NonHermitianObservable
 from qrf.grids import Grid1D, gaussian_state
 from qrf.observables import Observable
+
+from oracles import dense_momentum, dense_observable, dense_position
 
 
 class TestAlgebra:

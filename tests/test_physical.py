@@ -10,14 +10,8 @@ from qrf.classical import (
     ParticleSystem,
     spring_potential,
 )
-from qrf.dense import (
-    dense_total_momentum,
-    fourier_matrix,
-    ground_energy,
-    trivialization_family_check,
-)
 from qrf.dynamics import OscillatorParams
-from qrf.errors import FrameMismatch, GridMismatch, InvalidStep, KOutOfRange, SameFrame
+from qrf.errors import FrameMismatch, GridMismatch, InvalidStep, SameFrame
 from qrf.grids import (
     MOMENTUM,
     POSITION,
@@ -44,6 +38,14 @@ from qrf.physical import (
     reduced_labels,
     reduced_quantum_hamiltonian,
     reexpress,
+)
+
+from oracles import (
+    KOutOfRange,
+    dense_total_momentum,
+    fourier_matrix,
+    ground_energy,
+    trivialization_family_check,
 )
 
 
