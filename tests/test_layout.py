@@ -19,11 +19,28 @@ import qrf.physical
 from qrf.classical import FRAME_A, FREE_POTENTIAL, ParticleSystem
 from qrf.physical import GridHamiltonian, reduced_quantum_hamiltonian
 
-SOURCES = sorted(Path(qrf.__file__).parent.glob("*.py"))
+PACKAGE = Path(qrf.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+# the oracles' former home inside the package; its case asserts it stays gone
+ORACLE_MODULE = "dense.py"
 
 
 def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports_oracles(tree) -> bool:
+    oracle_modules = {"dense", "qrf.dense", "oracles"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in oracle_modules:
+                return True
+            if node.module in (None, "qrf") and names & oracle_modules:
+                return True
+        if isinstance(node, ast.Import) and any(alias.name in oracle_modules for alias in node.names):
+            return True
+    return False
 
 
 def _calls(tree, attr):
@@ -47,6 +64,16 @@ def test_the_package_ships_no_oracles():
     }
     assert not oracles & set(vars(qrf))
     assert not {"TooLarge", "KOutOfRange"} & set(vars(qrf.errors))
+
+
+@pytest.mark.parametrize("name", sorted({p.name for p in SOURCES} | {ORACLE_MODULE}))
+def test_only_the_package_root_imports_the_oracles(name):
+    # the root no longer does either: no package module reaches the oracles
+    path = PACKAGE / name
+    if name == ORACLE_MODULE:
+        assert not path.exists(), f"{name} is back in the package; oracles live in tests/oracles.py"
+        return
+    assert not _imports_oracles(_tree(path)), f"{name} imports the dense oracles"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
