@@ -17,6 +17,11 @@ KERNEL is one of:
   keep-C marginals together and halves the time.  It fails when either
   marginal's integral is off 1 by more than 1e-4.  Each tree runs its own
   default quadrature rule.
+* ``integrate``: ``integrate_reduced`` in microseconds per order-2 step at
+  N = 3, 5 and 9 particles, unit masses, a unit spring from every particle to
+  the last, frame = the last, from a seeded point.  A child runs one short
+  warm-up call, then times a 2000-step integration.  It fails when the
+  relative energy drift of the trajectory exceeds 1e-5.
 
 Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
 For every size and each of 11 repeats, each tree is timed in a fresh child
@@ -44,6 +49,8 @@ REPEATS = 11
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 EVOLVE_STEPS = {128: 100, 256: 50, 512: 20}
 EVOLVE_DT = 1e-2
+INTEGRATE_STEPS = 2000
+INTEGRATE_DT = 1e-3
 
 EVOLVE_CHILD = """
 import sys, time
@@ -92,6 +99,32 @@ print(1e3 * best / 2, qrf.__version__)
 """
 
 
+INTEGRATE_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qrf
+from qrf.classical import FrameLabel, ParticleSystem, ReducedPhasePoint, spring_potential
+from qrf.dynamics import integrate_reduced
+n, steps, dt = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+rng = np.random.default_rng(n)
+system = ParticleSystem(n)
+potential = spring_potential([(i, n - 1, 1.0) for i in range(n - 1)])
+point = ReducedPhasePoint(FrameLabel(n - 1), rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
+integrate_reduced(point, potential, system, 10 * dt, dt)
+best = float("inf")
+for _ in range(3):
+    start = time.perf_counter()
+    trajectory = integrate_reduced(point, potential, system, steps * dt, dt)
+    best = min(best, time.perf_counter() - start)
+energies = trajectory.energies(potential, system)
+drift = float(np.max(np.abs(energies - energies[0])) / abs(energies[0]))
+if drift > 1e-5:
+    sys.exit(f"relative energy drift {drift:.2e}")
+print(1e6 * best / steps, qrf.__version__)
+"""
+
+
 @dataclass(frozen=True)
 class Kernel:
     metric: str
@@ -113,6 +146,12 @@ KERNELS = {
         "marginal_wigner time", "ms per marginal", "points", (51, 101, 201), MARGINAL_CHILD,
         lambda points: (points,),
         {"levels": [1, 1], "alphas": [1.0, 1.0], "window": [-6.0, 6.0]},
+    ),
+    "integrate": Kernel(
+        "integrate_reduced step time", "us per step", "N", (3, 5, 9), INTEGRATE_CHILD,
+        lambda n: (n, INTEGRATE_STEPS, INTEGRATE_DT),
+        {"steps_per_call": INTEGRATE_STEPS, "dt": INTEGRATE_DT, "order": 2,
+         "springs": "k = 1 from every particle to the last", "masses": 1.0, "frame": "last"},
     ),
 }
 

@@ -93,7 +93,7 @@ def _frozen(values, length=None) -> np.ndarray:
         raise ValueError(f"expected a 1-d coordinate list, got shape {arr.shape}")
     if length is not None and arr.shape != (length,):
         raise ValueError(f"expected length {length}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("coordinates must be finite")
     arr.setflags(write=False)
     return arr
@@ -195,18 +195,22 @@ FREE_POTENTIAL = Potential(lambda q: np.zeros(q.shape[1:]), gradient=lambda q: n
 
 
 def spring_potential(springs) -> Potential:
-    """Pairwise springs V = sum over (i, j, k) of k/2 (q_i - q_j)^2."""
+    """Pairwise springs V = sum over (i, j, k) of k/2 (q_i - q_j)^2, gradient K @ q."""
     springs = [(int(i), int(j), float(k)) for i, j, k in springs]
+    if any(min(i, j) < 0 for i, j, _ in springs):
+        raise ValueError(f"spring indices must be non-negative, got {springs}")
+    n = 1 + max((max(i, j) for i, j, _ in springs), default=-1)
+    stiffness = np.zeros((n, n))
+    for i, j, k in springs:
+        stiffness[[i, j], [i, j]] += k
+        stiffness[[i, j], [j, i]] -= k
 
     def energy(q):
         return sum(0.5 * k * (q[i] - q[j]) ** 2 for i, j, k in springs)
 
     def gradient(q):
-        grad = np.zeros_like(q)
-        for i, j, k in springs:
-            pull = k * (q[i] - q[j])
-            grad[i] += pull
-            grad[j] -= pull
+        grad = np.zeros(q.shape)
+        grad[:n] = stiffness @ q[:n]
         return grad
 
     return Potential(energy, gradient=gradient)
@@ -214,7 +218,7 @@ def spring_potential(springs) -> Potential:
 
 def total_momentum(point: ExtendedPhasePoint) -> float:
     """Generator of rigid translations; |P| <= tol defines the constraint surface."""
-    return float(np.sum(point.p))
+    return float(point.p.sum())
 
 
 def gauge_flow(point: ExtendedPhasePoint, s: float) -> ExtendedPhasePoint:
@@ -224,7 +228,15 @@ def gauge_flow(point: ExtendedPhasePoint, s: float) -> ExtendedPhasePoint:
 
 def pin_frame(values, frame: FrameLabel, fill=0.0) -> np.ndarray:
     """Insert the frame particle's slot, holding ``fill``: (N - 1, ...) -> (N, ...)."""
-    return np.insert(np.asarray(values, dtype=float), frame.index, fill, axis=0)
+    values = np.asarray(values, dtype=float)
+    k = frame.index
+    if k > values.shape[0]:
+        raise IndexError(f"frame index {k} out of range for {values.shape[0] + 1} particles")
+    out = np.empty((values.shape[0] + 1,) + values.shape[1:])
+    out[:k] = values[:k]
+    out[k] = fill
+    out[k + 1 :] = values[k:]
+    return out
 
 
 def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
@@ -234,7 +246,7 @@ def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
     others, so the image satisfies P = 0 and q_frame = 0 exactly.
     """
     return ExtendedPhasePoint(
-        pin_frame(rp.q_rel, rp.frame), pin_frame(rp.p_rel, rp.frame, -np.sum(rp.p_rel))
+        pin_frame(rp.q_rel, rp.frame), pin_frame(rp.p_rel, rp.frame, -rp.p_rel.sum())
     )
 
 

@@ -10,7 +10,10 @@ Besides the per-axis operators, the module holds the explicit reduced
 Hamiltonian matrix and its ground energy, the band-limited refinement matrix
 behind the Wigner transform, and the k-shifted trivialization check, whose
 per-block dense algebra confirms the redundancy-removing map of
-:mod:`qrf.physical`.  Test modules import it as ``oracles``: pytest puts this
+:mod:`qrf.physical`.  Two classical references ride along: the spring
+potential with its per-spring gradient loop, and the leapfrog that evaluates
+the force twice per Strang substep; the production integrator must match them
+bit for bit.  Test modules import it as ``oracles``: pytest puts this
 directory on ``sys.path``.
 """
 
@@ -22,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from qrf.classical import Potential, pin_frame
+from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, kinetic_matrix
 from qrf.errors import QRFError
 from qrf.grids import POSITION, Grid1D, WaveFunction, to_representation
 from qrf.observables import Observable
@@ -361,3 +366,60 @@ def trivialization_family_check(
         wrapped_fraction=wrapped / total_triples,
         oracle_n=oracle_n,
     )
+
+
+def per_spring_potential(springs) -> Potential:
+    """Pairwise springs whose gradient accumulates one spring at a time."""
+    springs = [(int(i), int(j), float(k)) for i, j, k in springs]
+
+    def energy(q):
+        return sum(0.5 * k * (q[i] - q[j]) ** 2 for i, j, k in springs)
+
+    def gradient(q):
+        grad = np.zeros_like(q)
+        for i, j, k in springs:
+            pull = k * (q[i] - q[j])
+            grad[i] += pull
+            grad[j] -= pull
+        return grad
+
+    return Potential(energy, gradient=gradient)
+
+
+def two_force_leapfrog(initial, potential, system, t_final, dt, order=2):
+    """Sampled (q, p) of the leapfrog that evaluates the force at both half kicks.
+
+    Every Strang substep calls ``potential.gradient`` twice, although the
+    closing kick's force is the next substep's opening one.  The span checks
+    of ``integrate_reduced`` are left out.
+    """
+    steps = int(round(t_final / dt))
+    others = list(initial.labels)
+    drift = 2.0 * kinetic_matrix(system, initial.frame)  # dq/dt = dT/dp
+    pinned = pin_frame(initial.q_rel, initial.frame)  # one buffer; frame slot stays 0
+
+    def force(q):
+        pinned[others] = q
+        return potential.gradient(pinned)[others]
+
+    def strang(q, p, h):
+        p = p - (0.5 * h) * force(q)
+        q = q + h * (drift @ p)
+        p = p - (0.5 * h) * force(q)
+        return q, p
+
+    qs = np.empty((steps + 1, len(others)))
+    ps = np.empty_like(qs)
+    qs[0] = initial.q_rel
+    ps[0] = initial.p_rel
+    q, p = qs[0].copy(), ps[0].copy()
+    for step in range(steps):
+        if order == 2:
+            q, p = strang(q, p, dt)
+        else:
+            q, p = strang(q, p, _YOSHIDA_W1 * dt)
+            q, p = strang(q, p, _YOSHIDA_W0 * dt)
+            q, p = strang(q, p, _YOSHIDA_W1 * dt)
+        qs[step + 1] = q
+        ps[step + 1] = p
+    return qs, ps

@@ -8,7 +8,6 @@ against the stated budgets.
 import time
 
 import numpy as np
-import pytest
 
 from qrf.classical import (
     FRAME_A,
@@ -24,7 +23,6 @@ from qrf.classical import (
 from qrf.dynamics import (
     OscillatorParams,
     analytic_oscillator_frame_a,
-    analytic_oscillator_frame_c,
     integrate_reduced,
     kinetic_matrix,
 )
@@ -35,7 +33,6 @@ from qrf.grids import (
     ho_eigenstate,
     product_state,
     random_wavefunction,
-    to_representation,
 )
 from qrf.observables import Observable
 from qrf.physical import (

@@ -29,6 +29,8 @@ from qrf.classical import (
 )
 from qrf.errors import ConstraintViolation, SameFrame
 
+from oracles import per_spring_potential
+
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
@@ -283,6 +285,48 @@ class TestPotential:
             summed(rng.uniform(-1, 1, (3, 4)))
 
 
+class TestSpringGradient:
+    """The stiffness-matrix gradient against the per-spring accumulation."""
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_frame_pinned_star_matches_per_spring_loop(self, n, rng):
+        # springs from every particle to the frame, frame pinned at the origin:
+        # each surviving row is one product, exact; the frame row is a sum and
+        # may differ in the last bit, which no reduced quantity reads
+        for frame in range(n):
+            springs = [(frame, i, k) for i, k in enumerate(rng.uniform(0.5, 3.0, n)) if i != frame]
+            new, old = spring_potential(springs), per_spring_potential(springs)
+            for _ in range(50):
+                q = rng.uniform(-2, 2, n)
+                q[frame] = 0.0
+                a, b = new.gradient(q), old.gradient(q)
+                assert np.array_equal(np.delete(a, frame), np.delete(b, frame))
+                assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_general_springs_match_per_spring_loop(self, rng):
+        springs = [(2, 0, 1.0), (2, 1, 2.5), (0, 1, 0.7), (3, 1, 1.1), (1, 3, 0.4)]
+        new, old = spring_potential(springs), per_spring_potential(springs)
+        for _ in range(50):
+            q = rng.uniform(-2, 2, 4)
+            assert_allclose(new.gradient(q), old.gradient(q), rtol=1e-12, atol=1e-12)
+
+    def test_particles_beyond_the_springs_feel_no_force(self, rng):
+        q = rng.uniform(-2, 2, 3)
+        grad = spring_potential([(1, 0, 1.3)]).gradient(q)
+        expected = per_spring_potential([(1, 0, 1.3)]).gradient(q)
+        assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
+        assert grad[2] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_spring_index_beyond_the_particles_raises(self, n):
+        with pytest.raises(ValueError):
+            spring_potential([(2, 0, 1.0)]).gradient(np.zeros(n))
+
+    def test_negative_spring_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            spring_potential([(-1, 0, 1.0)])
+
+
 class TestPinFrame:
     @pytest.mark.parametrize("frame", [FRAME_A, FRAME_B, FRAME_C])
     def test_inserts_frame_slot_along_first_axis(self, frame, rng):
@@ -291,6 +335,20 @@ class TestPinFrame:
         assert pinned.shape == (3, 3, 4)
         assert np.all(pinned[frame.index] == 7.0)
         assert np.array_equal(np.delete(pinned, frame.index, axis=0), values)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 5), (2, 3, 4)])
+    @pytest.mark.parametrize("frame", [FRAME_A, FRAME_B, FRAME_C])
+    def test_matches_np_insert(self, frame, shape, rng):
+        values = rng.uniform(-1, 1, shape)
+        pinned = pin_frame(values, frame, fill=-1.5)
+        expected = np.insert(values, frame.index, -1.5, axis=0)
+        assert pinned.shape == expected.shape
+        assert np.array_equal(pinned, expected)
+
+    @pytest.mark.parametrize("index", [3, 4, 9])
+    def test_frame_index_out_of_range_raises(self, index, rng):
+        with pytest.raises(IndexError):
+            pin_frame(rng.uniform(-1, 1, (2, 3)), FrameLabel(index))
 
 
 class TestTypes:

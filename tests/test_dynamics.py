@@ -26,6 +26,13 @@ from qrf.dynamics import (
 )
 from qrf.errors import InvalidStep
 
+from oracles import per_spring_potential, two_force_leapfrog
+
+# the three-body system of the classical-ensemble benchmark: masses of A, B, C
+# and springs C--A, C--B
+ENSEMBLE_MASSES = [1.0, 2.0, 1.5]
+ENSEMBLE_SPRINGS = [(2, 0, 1.0), (2, 1, 3.0)]
+
 
 def matched_initial_conditions(params, frame_c=True):
     """Reduced phase-space point reproducing the decoupled solutions at t=0."""
@@ -168,6 +175,47 @@ class TestIntegrateReduced:
         energies = traj.energies(params.potential(), params.system())
         drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
         assert drift <= 1e-6
+
+
+def _nonlinear_potential():
+    # no analytic gradient: the integrator sees central differences
+    return Potential(
+        lambda q: 0.5 * (q[1] - q[0]) ** 2 + (q[2] - q[1]) ** 2 + np.cos(q[2] - q[0])
+    )
+
+
+class TestForceReuse:
+    """One force evaluation per substep reproduces the two-force leapfrog bit for bit."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize(
+        "frame, t_final, dt, springs",
+        [(FRAME_C, 2.0, 1e-3, True), (FRAME_A, 1.0, 1e-2, False), (FRAME_C, 4e-3, 1e-2, True)],
+        ids=["ensemble-frame-C", "nonlinear-frame-A", "under-half-step"],
+    )
+    def test_bit_identical_to_two_force_leapfrog(self, frame, t_final, dt, springs, order, rng):
+        system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
+        rp = ReducedPhasePoint(frame, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+        if springs:
+            potential = spring_potential(ENSEMBLE_SPRINGS)
+            reference = per_spring_potential(ENSEMBLE_SPRINGS)
+        else:
+            potential = reference = _nonlinear_potential()
+        traj = integrate_reduced(rp, potential, system, t_final, dt, order=order)
+        q, p = two_force_leapfrog(rp, reference, system, t_final, dt, order=order)
+        assert len(traj) == len(q)
+        assert np.array_equal(traj.q, q)
+        assert np.array_equal(traj.p, p)
+
+    @pytest.mark.parametrize("order, substeps", [(2, 1), (4, 3)])
+    def test_one_gradient_call_per_substep(self, order, substeps):
+        potential = spring_potential(ENSEMBLE_SPRINGS)
+        gradient, calls = potential.gradient, []
+        potential.gradient = lambda q: calls.append(None) or gradient(q)
+        rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
+        steps = 50
+        integrate_reduced(rp, potential, ParticleSystem(3), steps * 1e-2, 1e-2, order=order)
+        assert len(calls) == 1 + substeps * steps
 
 
 class TestAnalyticOscillators:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
 
 from qrf.classical import FRAME_A
 from qrf.errors import AxisClash, GridMismatch, UnknownAxis

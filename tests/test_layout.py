@@ -4,7 +4,8 @@ Production modules reach the Fourier transform only through the centered FFTs
 of ``qrf.grids``, and the caller's representation is restored by one helper,
 ``qrf.grids.to_matching``.  Reduced energies, classical and quantum, are
 evaluated by one broadcasting path (``qrf.dynamics.reduced_energy``), never
-point by point.
+point by point.  No module of the package or of the tests imports a name it
+never uses; the package root is exempt, because its imports are re-exports.
 """
 
 import ast
@@ -21,6 +22,7 @@ from qrf.physical import GridHamiltonian, reduced_quantum_hamiltonian
 
 PACKAGE = Path(qrf.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # the oracles' former home inside the package; its case asserts it stays gone
 ORACLE_MODULE = "dense.py"
 
@@ -129,6 +131,29 @@ def test_reduced_energies_are_evaluated_without_loops(module, qualname):
         or (isinstance(node, ast.comprehension) and any(True for _ in _calls(node.iter, "range")))
     ]
     assert not loops, f"{module}: {len(loops)} loop(s) inside {qualname}; broadcast instead"
+
+
+def _unused_imports(tree):
+    """(line, name) of every name an import binds that the module never references."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_every_imported_name_is_used(path):
+    unused = _unused_imports(_tree(path))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
 def test_frame_letters_come_from_frame_labels():

@@ -30,7 +30,6 @@ from qrf.grids import (
 )
 from qrf.observables import Observable
 from qrf.physical import (
-    PhysicalState,
     constraint_surface_amplitude,
     momentum_substitution,
     physical_inner_product,

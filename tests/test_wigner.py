@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from qrf.classical import FRAME_A, FRAME_C
 from qrf.errors import InvalidDensityMatrix
