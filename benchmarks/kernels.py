@@ -1,6 +1,6 @@
-"""Per-call time of one qrf kernel for one or more source trees.
+"""Per-call time of qrf kernels for one or more source trees.
 
-    python3 benchmarks/kernels.py KERNEL LABEL=SRC [LABEL=SRC ...] --out BENCH.json
+    python3 benchmarks/kernels.py KERNEL[,KERNEL ...] LABEL=SRC [LABEL=SRC ...] --out BENCH.json
 
 KERNEL is one of:
 
@@ -22,15 +22,30 @@ KERNEL is one of:
   the last, frame = the last, from a seeded point.  A child runs one short
   warm-up call, then times a 2000-step integration.  It fails when the
   relative energy drift of the trajectory exceeds 1e-5.
+* ``prepare``: ``random_wavefunction`` on two axes in milliseconds per call
+  at n = 64, 128 and 256, box L = 24 (the ``switch-small`` box).  A child
+  runs one warm-up draw, then times fresh seeded draws.  It fails on a norm
+  off 1 by more than 1e-12.
+* ``wigner``: ``partial_trace`` plus ``wigner_transform`` in milliseconds per
+  call at n = 64, 128 and 256, L = 24, on one seeded draw in frame A switched
+  to frame C (parity-shear), keeping A.  A child runs one warm-up call.  It
+  fails when the Wigner integral is off 1 by more than 1e-4.
+* ``switch``: ``switch_frame`` A -> C in milliseconds per call at n = 64, 128
+  and 256, L = 24, on one seeded draw, for each backend: the results hold
+  ``n<size>-parity-shear`` and ``n<size>-compositional``.  A child runs one
+  warm-up call per backend.  It fails when the backend gap 1 - F exceeds
+  1e-8.
 
 Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
 For every size and each of 11 repeats, each tree is timed in a fresh child
 process with the BLAS/OpenMP pools pinned to one thread; the order of the
 trees alternates between repeats, so slow stretches of a shared host fall on
 both sides.  A child prints the fastest of three timed calls, then the
-tree's ``qrf.__version__``.  The JSON holds, per size and tree, every
-repeat's value with their median and quartiles, plus the kernel's settings,
-the machine, and each tree's library version under ``versions``.
+tree's ``qrf.__version__`` (a kernel with several series prints one time
+per series).  The JSON holds, per size and tree, every repeat's value with
+their median and quartiles, plus the kernel's settings, the machine, and each
+tree's library version under ``versions``.  The file is
+``{"kernels": [...]}``, one such report per kernel named, in the order given.
 """
 
 from __future__ import annotations
@@ -51,6 +66,8 @@ EVOLVE_STEPS = {128: 100, 256: 50, 512: 20}
 EVOLVE_DT = 1e-2
 INTEGRATE_STEPS = 2000
 INTEGRATE_DT = 1e-3
+STATE_SIZES = (64, 128, 256)
+STATE_BOX = 24.0
 
 EVOLVE_CHILD = """
 import sys, time
@@ -124,6 +141,79 @@ if drift > 1e-5:
 print(1e6 * best / steps, qrf.__version__)
 """
 
+PREPARE_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qrf
+from qrf.grids import Grid1D, random_wavefunction
+n, length = int(sys.argv[2]), float(sys.argv[3])
+grid = Grid1D(n, length)
+subsystems = (("B", grid), ("C", grid))
+random_wavefunction(subsystems, np.random.default_rng(0))
+best = float("inf")
+for seed in (1, 2, 3):
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    psi = random_wavefunction(subsystems, rng)
+    best = min(best, time.perf_counter() - start)
+    if abs(psi.norm() - 1.0) > 1e-12:
+        sys.exit(f"norm off 1 by {abs(psi.norm() - 1.0):.2e}")
+print(1e3 * best, qrf.__version__)
+"""
+
+WIGNER_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qrf
+from qrf.classical import FRAME_A, FRAME_C
+from qrf.grids import Grid1D, random_wavefunction
+from qrf.switching import FrameSwitch, switch_frame
+from qrf.wigner import partial_trace, wigner_transform
+n, length = int(sys.argv[2]), float(sys.argv[3])
+grid = Grid1D(n, length)
+psi = random_wavefunction((("B", grid), ("C", grid)), np.random.default_rng(0), frame=FRAME_A)
+out = switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C))
+wigner_transform(partial_trace(out, "A"))
+best = float("inf")
+for _ in range(3):
+    start = time.perf_counter()
+    w = wigner_transform(partial_trace(out, "A"))
+    best = min(best, time.perf_counter() - start)
+if abs(w.integral() - 1.0) > 1e-4:
+    sys.exit(f"Wigner integral off: {w.integral():.6f}")
+print(1e3 * best, qrf.__version__)
+"""
+
+SWITCH_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qrf
+from qrf.classical import FRAME_A, FRAME_C
+from qrf.grids import Grid1D, fidelity, random_wavefunction
+from qrf.switching import FrameSwitch, switch_frame
+n, length = int(sys.argv[2]), float(sys.argv[3])
+grid = Grid1D(n, length)
+psi = random_wavefunction((("B", grid), ("C", grid)), np.random.default_rng(0), frame=FRAME_A)
+times, outs = [], []
+for backend in ("parity-shear", "compositional"):
+    sw = FrameSwitch(FRAME_A, FRAME_C, backend)
+    switch_frame(psi, sw)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        out = switch_frame(psi, sw)
+        best = min(best, time.perf_counter() - start)
+    times.append(1e3 * best)
+    outs.append(out)
+gap = 1.0 - fidelity(*outs)
+if gap > 1e-8:
+    sys.exit(f"backend gap 1 - F = {gap:.2e}")
+print(*times, qrf.__version__)
+"""
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -134,6 +224,7 @@ class Kernel:
     child: str
     child_args: Callable[[int], tuple]  # the child's argv after SRC, for one size
     settings: dict
+    series: tuple = ("",)  # one printed time each; a name suffixes the result key
 
 
 KERNELS = {
@@ -153,16 +244,34 @@ KERNELS = {
         {"steps_per_call": INTEGRATE_STEPS, "dt": INTEGRATE_DT, "order": 2,
          "springs": "k = 1 from every particle to the last", "masses": 1.0, "frame": "last"},
     ),
+    "prepare": Kernel(
+        "random_wavefunction time", "ms per call", "n", STATE_SIZES, PREPARE_CHILD,
+        lambda n: (n, STATE_BOX),
+        {"length": STATE_BOX, "axes": 2, "seeds": [1, 2, 3]},
+    ),
+    "wigner": Kernel(
+        "partial_trace + wigner_transform time", "ms per call", "n", STATE_SIZES, WIGNER_CHILD,
+        lambda n: (n, STATE_BOX),
+        {"length": STATE_BOX, "seed": 0, "switch": "A -> C, parity-shear", "keep": "A"},
+    ),
+    "switch": Kernel(
+        "switch_frame time", "ms per call", "n", STATE_SIZES, SWITCH_CHILD,
+        lambda n: (n, STATE_BOX),
+        {"length": STATE_BOX, "seed": 0, "switch": "A -> C"},
+        series=("parity-shear", "compositional"),
+    ),
 }
 
 
 def measure(kernel, src, size):
-    """One child's time and the version of the qrf it imported."""
+    """One child's times, one per series, and the version of the qrf it imported."""
     env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
     args = [sys.executable, "-c", kernel.child, src, *map(str, kernel.child_args(size))]
     out = subprocess.run(args, env=env, check=True, capture_output=True, text=True).stdout
-    value, version = out.split()
-    return float(value), version
+    *values, version = out.split()
+    if len(values) != len(kernel.series):
+        raise ValueError(f"expected {len(kernel.series)} times, the child printed {out!r}")
+    return [float(value) for value in values], version
 
 
 def summary(values):
@@ -189,28 +298,27 @@ def environment():
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("kernel", choices=sorted(KERNELS))
-    parser.add_argument("trees", nargs="+", metavar="LABEL=SRC")
-    parser.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
-    kernel = KERNELS[args.kernel]
-    trees = [tree.split("=", 1) for tree in args.trees]
+def run_kernel(name, trees):
+    """The report of one kernel: every repeat of every size, series and tree."""
+    kernel = KERNELS[name]
     results = {}
     versions = {}
     for size in kernel.sizes:
-        values = {label: [] for label, _ in trees}
+        base = f"{kernel.size_name}{size}"
+        keys = [f"{base}-{series}" if series else base for series in kernel.series]
+        values = {key: {label: [] for label, _ in trees} for key in keys}
         for repeat in range(REPEATS):
             order = trees if repeat % 2 == 0 else trees[::-1]
             for label, src in order:
-                value, versions[label] = measure(kernel, os.path.abspath(src), size)
-                values[label].append(value)
-        key = f"{kernel.size_name}{size}"
-        results[key] = {label: summary(v) for label, v in values.items()}
-        print(key, {label: round(s["median"], 1) for label, s in results[key].items()}, flush=True)
-    report = {
-        "kernel": args.kernel,
+                times, versions[label] = measure(kernel, os.path.abspath(src), size)
+                for key, value in zip(keys, times):
+                    values[key][label].append(value)
+        for key in keys:
+            results[key] = {label: summary(v) for label, v in values[key].items()}
+            medians = {label: round(s["median"], 3) for label, s in results[key].items()}
+            print(name, key, medians, flush=True)
+    return {
+        "kernel": name,
         "metric": kernel.metric,
         "unit": kernel.unit,
         "settings": kernel.settings,
@@ -219,8 +327,22 @@ def main(argv=None):
         "versions": versions,
         "results": results,
     }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("kernels", metavar="KERNEL[,KERNEL ...]")
+    parser.add_argument("trees", nargs="+", metavar="LABEL=SRC")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    names = args.kernels.split(",")
+    unknown = sorted(set(names) - set(KERNELS))
+    if unknown:
+        parser.error(f"unknown kernel(s) {unknown}; choose from {sorted(KERNELS)}")
+    trees = [tree.split("=", 1) for tree in args.trees]
+    reports = [run_kernel(name, trees) for name in names]
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
+        json.dump({"kernels": reports}, handle, indent=2)
         handle.write("\n")
 
 

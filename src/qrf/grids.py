@@ -95,16 +95,24 @@ def _along_axis(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
 
 
 def _centered_fft(arr: np.ndarray, axis: int) -> np.ndarray:
-    """DFT with both input and output indices centered at n/2 (n % 4 == 0)."""
-    n = arr.shape[axis]
-    signs = _along_axis(_alternating(n), arr.ndim, axis)
-    return signs * np.fft.fft(arr * signs, axis=axis)
+    """DFT with both input and output indices centered at n/2 (n % 4 == 0).
+
+    Returns a fresh array; the transform and the output signs run in place on
+    it (1-d ``fft(out=)`` only: ``fft2(out=)`` is unreliable on numpy 2.4).
+    """
+    signs = _along_axis(_alternating(arr.shape[axis]), arr.ndim, axis)
+    out = arr * signs
+    np.fft.fft(out, axis=axis, out=out)
+    out *= signs
+    return out
 
 
 def _centered_ifft(arr: np.ndarray, axis: int) -> np.ndarray:
-    n = arr.shape[axis]
-    signs = _along_axis(_alternating(n), arr.ndim, axis)
-    return signs * np.fft.ifft(arr * signs, axis=axis)
+    signs = _along_axis(_alternating(arr.shape[axis]), arr.ndim, axis)
+    out = arr * signs
+    np.fft.ifft(out, axis=axis, out=out)
+    out *= signs
+    return out
 
 
 class WaveFunction:
@@ -118,6 +126,24 @@ class WaveFunction:
     __slots__ = ("_subsystems", "_representation", "_amplitudes", "frame")
 
     def __init__(self, subsystems, amplitudes, representation, frame: FrameLabel | None = None):
+        # a copy, so the caller's array stays writable and later writes to it
+        # do not reach the state
+        self._set(subsystems, np.array(amplitudes, dtype=complex), representation, frame)
+
+    @classmethod
+    def _adopt(
+        cls, subsystems, amplitudes, representation, frame: FrameLabel | None = None
+    ) -> "WaveFunction":
+        """A state over an array the library has just made, without copying it.
+
+        For results no caller holds: the array is frozen in place.  Views of
+        another state's (frozen) amplitudes qualify too.
+        """
+        psi = cls.__new__(cls)
+        psi._set(subsystems, np.asarray(amplitudes, dtype=complex), representation, frame)
+        return psi
+
+    def _set(self, subsystems, arr: np.ndarray, representation, frame) -> None:
         subsystems = tuple((str(label), grid) for label, grid in subsystems)
         labels = [label for label, _ in subsystems]
         if len(set(labels)) != len(labels):
@@ -130,7 +156,6 @@ class WaveFunction:
         for rep in representation:
             if rep not in (POSITION, MOMENTUM):
                 raise ValueError(f"unknown representation {rep!r}")
-        arr = np.array(amplitudes, dtype=complex)
         expected = tuple(grid.n for _, grid in subsystems)
         if arr.shape != expected:
             raise ValueError(f"amplitude shape {arr.shape} does not match grids {expected}")
@@ -202,7 +227,11 @@ class WaveFunction:
         return edge / peak
 
     def _with(self, amplitudes, representation=None, subsystems=None, frame=None):
-        return WaveFunction(
+        """This state's metadata, except where given, over ``amplitudes``.
+
+        The array is adopted without a copy (see ``_adopt``).
+        """
+        return WaveFunction._adopt(
             subsystems if subsystems is not None else self._subsystems,
             amplitudes,
             representation if representation is not None else self._representation,
@@ -231,9 +260,11 @@ def change_representation(psi: WaveFunction, label: str, target: str) -> WaveFun
         return psi
     grid = psi.subsystems[axis][1]
     if target == MOMENTUM:
-        arr = _centered_fft(psi.amplitudes, axis) * (grid.dx / _SQRT_2PI)
+        arr = _centered_fft(psi.amplitudes, axis)
+        arr *= grid.dx / _SQRT_2PI
     else:
-        arr = _centered_ifft(psi.amplitudes, axis) * (_SQRT_2PI / grid.dx)
+        arr = _centered_ifft(psi.amplitudes, axis)
+        arr *= _SQRT_2PI / grid.dx
     representation = list(psi.representation)
     representation[axis] = target
     return psi._with(arr, representation=tuple(representation))
@@ -323,12 +354,7 @@ def with_axis_order(psi: WaveFunction, labels) -> WaveFunction:
     perm = [psi.axis(label) for label in labels]
     subsystems = tuple(psi.subsystems[i] for i in perm)
     representation = tuple(psi.representation[i] for i in perm)
-    return WaveFunction(
-        subsystems,
-        np.transpose(psi.amplitudes, perm),
-        representation,
-        frame=psi.frame,
-    )
+    return psi._with(np.transpose(psi.amplitudes, perm), representation, subsystems)
 
 
 def relabel_axis(psi: WaveFunction, old: str, new: str, frame=None) -> WaveFunction:
@@ -336,12 +362,7 @@ def relabel_axis(psi: WaveFunction, old: str, new: str, frame=None) -> WaveFunct
     axis = psi.axis(old)
     subsystems = list(psi.subsystems)
     subsystems[axis] = (new, subsystems[axis][1])
-    return WaveFunction(
-        subsystems,
-        psi.amplitudes,
-        psi.representation,
-        frame=frame if frame is not None else psi.frame,
-    )
+    return psi._with(psi.amplitudes, subsystems=subsystems, frame=frame)
 
 
 def gaussian_state(
@@ -355,7 +376,7 @@ def gaussian_state(
     """Normalized Gaussian exp(-alpha (x - c)^2 / 2 + i k x) on one axis."""
     x = grid.positions()
     amp = np.exp(-0.5 * alpha * (x - center) ** 2 + 1j * momentum * x)
-    psi = WaveFunction([(label, grid)], amp, POSITION, frame=frame)
+    psi = WaveFunction._adopt([(label, grid)], amp, POSITION, frame=frame)
     return psi.normalized()
 
 
@@ -373,7 +394,7 @@ def ho_eigenstate(grid: Grid1D, label: str, level: int, alpha: float = 1.0) -> W
         amp = (alpha / np.pi) ** 0.25 * envelope
     else:
         amp = math.sqrt(2.0) * (alpha**3 / np.pi) ** 0.25 * x * envelope
-    return WaveFunction([(label, grid)], amp, POSITION).normalized()
+    return WaveFunction._adopt([(label, grid)], amp, POSITION).normalized()
 
 
 def product_state(
@@ -383,7 +404,7 @@ def product_state(
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("product_state expects single-axis factors")
     amplitudes = np.multiply.outer(a.amplitudes, b.amplitudes)
-    return WaveFunction(
+    return WaveFunction._adopt(
         a.subsystems + b.subsystems,
         amplitudes,
         a.representation + b.representation,
@@ -396,24 +417,37 @@ def random_wavefunction(
     rng: np.random.Generator,
     frame: FrameLabel | None = None,
 ) -> WaveFunction:
-    """Seeded random superposition of four displaced Gaussians, boundary-safe.
+    """Seeded random superposition of four displaced Gaussians, normalized.
 
-    Widths, centers and momenta are drawn from narrow ranges so that the
-    state decays below the boundary tolerance in both representations on the
-    default boxes.
+    Each term is a complex normal coefficient times, on every axis, a
+    Gaussian exp(-alpha (x - c)^2 / 2 + i k x) with alpha in [0.8, 2.5) and
+    c, k in [-1.5, 1.5).  The ranges are fixed, not scaled to the grid, so
+    box adequacy is not guaranteed: on n = 64, L = 20 a draw's momentum
+    edge/peak reaches 7.8e-7 and its A -> C switched image 2.2e-3, and no
+    128^2 box keeps every switched image below ``BOUNDARY_DECAY_TOL``
+    (``qrfbench/NOTES.md``; ROADMAP item 8).  Callers that need an adequate
+    state check ``boundary_ratio``.
+
+    Each axis's factor is a 1-d exponential, expanded to the full grid before
+    the product, so the bytes match the same expression over a meshgrid.
     """
     subsystems = tuple((str(label), grid) for label, grid in subsystems)
-    grids = [grid for _, grid in subsystems]
-    meshes = np.meshgrid(*[g.positions() for g in grids], indexing="ij")
-    total = np.zeros(tuple(g.n for g in grids), dtype=complex)
+    shape = tuple(grid.n for _, grid in subsystems)
+    total = np.zeros(shape, dtype=complex)
     for _ in range(4):
-        coeff = rng.normal() + 1j * rng.normal()
-        term = np.ones_like(total) * coeff
-        for mesh in meshes:
+        term = np.full(shape, rng.normal() + 1j * rng.normal())
+        for axis, (_, grid) in enumerate(subsystems):
             alpha = rng.uniform(0.8, 2.5)
             center = rng.uniform(-1.5, 1.5)
             kick = rng.uniform(-1.5, 1.5)
-            term = term * np.exp(-0.5 * alpha * (mesh - center) ** 2 + 1j * kick * mesh)
+            x = grid.positions()
+            factor = np.exp(-0.5 * alpha * (x - center) ** 2 + 1j * kick * x)
+            # Keep the form term * <fresh full-size factor>.  For arrays of
+            # 256 KiB and more, numpy reuses the temporary factor as the
+            # output and swaps the operands of the complex product, whose
+            # rounding depends on their order; the meshgrid form did the same,
+            # so this form keeps its bytes and a broadcast or in-place one
+            # does not.
+            term = term * np.broadcast_to(_along_axis(factor, len(shape), axis), shape).copy()
         total += term
-    psi = WaveFunction(subsystems, total, POSITION, frame=frame)
-    return psi.normalized()
+    return WaveFunction._adopt(subsystems, total, POSITION, frame=frame).normalized()

@@ -89,7 +89,7 @@ def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunct
     values[new_frame.name] = _wrap(-m1 - m2, n)
     source = [(values[label] + n // 2) % n for label in work.labels]
     amplitudes = work.amplitudes[source[0], source[1]]
-    return WaveFunction(
+    return WaveFunction._adopt(
         [(out_labels[0], grid), (out_labels[1], grid)],
         amplitudes,
         MOMENTUM,
@@ -128,7 +128,7 @@ def physical_state(psi: WaveFunction, frame: FrameLabel | None = None) -> Physic
     if frame is None:
         raise FrameMismatch("a frame tag is required")
     work = to_representation(psi, MOMENTUM).normalized()
-    work = WaveFunction(work.subsystems, work.amplitudes, work.representation, frame=frame)
+    work = work._with(work.amplitudes, frame=frame)
     return PhysicalState(work, frame)
 
 
@@ -218,13 +218,14 @@ class GridHamiltonian:
         if steps == 0:
             return psi
         arr = self._strang_steps(to_representation(psi, POSITION).amplitudes, steps, dt)
-        return to_matching(WaveFunction(self.subsystems, arr, POSITION, frame=psi.frame), psi)
+        out = WaveFunction._adopt(self.subsystems, arr, POSITION, frame=psi.frame)
+        return to_matching(out, psi)
 
     def _strang_steps(self, amplitudes: np.ndarray, steps: int, dt: float) -> np.ndarray:
         """Position amplitudes after ``steps`` fused Strang steps (class docstring).
 
         The phase grids are locals, so they are freed before the caller
-        copies the result into a WaveFunction.
+        wraps the result in a WaveFunction.
         """
         kick = np.exp(-0.5j * dt * self.potential_grid)
         # the outer half kicks with the centering signs folded in, broadcast

@@ -105,14 +105,15 @@ class DensityMatrix:
             raise InvalidDensityMatrix(
                 f"matrix shape {matrix.shape} does not match the grid size {grid.n}"
             )
+        # each check is written so that NaN fails it
         hermiticity = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if hermiticity > 1e-10:
+        if not (hermiticity <= 1e-10):
             raise InvalidDensityMatrix(f"not Hermitian: max deviation {hermiticity:.3e}")
         trace = complex(np.trace(matrix))
-        if abs(trace - 1.0) > 1e-10:
+        if not (abs(trace - 1.0) <= 1e-10):
             raise InvalidDensityMatrix(f"trace {trace:.12f} is not 1")
         eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-        if eigenvalues.min() < -1e-8:
+        if not (eigenvalues.min() >= -1e-8):
             raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues.min():.3e}")
         matrix = matrix.copy()
         matrix.setflags(write=False)
@@ -177,11 +178,16 @@ def wigner_transform(rho: DensityMatrix) -> WignerGrid:
     """Discrete Wigner function of a density matrix.
 
     The kernel is band-limited onto the doubled grid (half-step chords, which
-    is what makes both marginals exact) and zero-padded into a doubled box
-    before the chord transform, exiling the periodic ghost image at distance
-    L/2 from the state outside the reported window.  Output samples: x on the
-    refined position grid (spacing dx/2) over the original box, xi spaced
-    dp/2 across the full momentum window.
+    is what makes both marginals exact) and zero-padded into a doubled box of
+    N = 2 n2 samples per axis before the chord transform, exiling the periodic
+    ghost image at distance L/2 from the state outside the reported window.
+    Output samples: x on the refined position grid (spacing dx/2) over the
+    original box, xi spaced dp/2 across the full momentum window.
+
+    The chord table chords[c, o] = padded[c' + o, c' - o] (c' = c + n2/2, o
+    from -N/2) vanishes for |o| >= n2/2, where one index leaves the kernel
+    block.  Its nonzero band is read from one strided view of ``padded``: row
+    c, column j (o = j - n2/2) is flat element n2 + c (N + 1) + j (N - 1).
     """
     grid = rho.grid
     kernel = refined_kernel(rho)
@@ -190,9 +196,15 @@ def wigner_transform(rho: DensityMatrix) -> WignerGrid:
     n4 = 2 * n2
     padded = np.zeros((n4, n4), dtype=complex)
     padded[n2 // 2 : n2 // 2 + n2, n2 // 2 : n2 // 2 + n2] = kernel
-    centers = (np.arange(n2) + n2 // 2)[:, None]  # original box only
-    offsets = np.arange(n4)[None, :] - n4 // 2
-    chords = padded[(centers + offsets) % n4, (centers - offsets) % n4]
+    step = padded.itemsize
+    band = np.lib.stride_tricks.as_strided(
+        padded.reshape(-1)[n2:],
+        shape=(n2, n2),
+        strides=((n4 + 1) * step, (n4 - 1) * step),
+        writeable=False,
+    )
+    chords = np.zeros((n2, n4), dtype=complex)  # original box only
+    chords[:, n2 // 2 : n2 // 2 + n2] = band
     spectrum = _centered_fft(chords, 1)
     values = np.real(spectrum[:, ::2]) * (fine.dx / math.pi)
     xi = (np.arange(n2) - n2 // 2) * (grid.dp / 2.0)

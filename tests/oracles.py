@@ -13,8 +13,11 @@ per-block dense algebra confirms the redundancy-removing map of
 :mod:`qrf.physical`.  Two classical references ride along: the spring
 potential with its per-spring gradient loop, and the leapfrog that evaluates
 the force twice per Strang substep; the production integrator must match them
-bit for bit.  Test modules import it as ``oracles``: pytest puts this
-directory on ``sys.path``.
+bit for bit.  So do three phase-space references, which the production code
+must match byte for byte: ``random_wavefunction`` over an n^d meshgrid, the
+centered FFTs that allocate a fresh array per step, and ``wigner_transform``
+gathering its chord table through modulo index grids.  Test modules import
+it as ``oracles``: pytest puts this directory on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from qrf.errors import QRFError
 from qrf.grids import POSITION, Grid1D, WaveFunction, to_representation
 from qrf.observables import Observable
 from qrf.physical import GridHamiltonian, PhysicalState, _trivialized_reduction
+from qrf.wigner import DensityMatrix, WignerGrid
 
 MAX_DENSE_DIM = 4096
 
@@ -423,3 +427,69 @@ def two_force_leapfrog(initial, potential, system, t_final, dt, order=2):
         qs[step + 1] = q
         ps[step + 1] = p
     return qs, ps
+
+
+# ---------------------------------------------------------------------------
+# Phase-space path: the unoptimized forms, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def meshgrid_random_wavefunction(subsystems, rng: np.random.Generator, frame=None):
+    """``random_wavefunction`` with every Gaussian factor evaluated on the n^d meshgrid."""
+    subsystems = tuple((str(label), grid) for label, grid in subsystems)
+    grids = [grid for _, grid in subsystems]
+    meshes = np.meshgrid(*[g.positions() for g in grids], indexing="ij")
+    total = np.zeros(tuple(g.n for g in grids), dtype=complex)
+    for _ in range(4):
+        coeff = rng.normal() + 1j * rng.normal()
+        term = np.ones_like(total) * coeff
+        for mesh in meshes:
+            alpha = rng.uniform(0.8, 2.5)
+            center = rng.uniform(-1.5, 1.5)
+            kick = rng.uniform(-1.5, 1.5)
+            term = term * np.exp(-0.5 * alpha * (mesh - center) ** 2 + 1j * kick * mesh)
+        total += term
+    return WaveFunction(subsystems, total, POSITION, frame=frame).normalized()
+
+
+def _signs(arr: np.ndarray, axis: int) -> np.ndarray:
+    shape = [1] * arr.ndim
+    shape[axis] = arr.shape[axis]
+    signs = np.ones(arr.shape[axis])
+    signs[1::2] = -1.0
+    return signs.reshape(shape)
+
+
+def allocating_centered_fft(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Centered DFT as signs * fft(arr * signs), one fresh array per step."""
+    signs = _signs(arr, axis)
+    return signs * np.fft.fft(arr * signs, axis=axis)
+
+
+def allocating_centered_ifft(arr: np.ndarray, axis: int) -> np.ndarray:
+    signs = _signs(arr, axis)
+    return signs * np.fft.ifft(arr * signs, axis=axis)
+
+
+def _allocating_refine(arr: np.ndarray, axis: int) -> np.ndarray:
+    n = arr.shape[axis]
+    widths = [(n // 2, n // 2) if a == axis else (0, 0) for a in range(arr.ndim)]
+    return 2.0 * allocating_centered_ifft(np.pad(allocating_centered_fft(arr, axis), widths), axis)
+
+
+def gather_wigner_transform(rho: DensityMatrix) -> WignerGrid:
+    """``wigner_transform`` reading every chord through modulo index grids."""
+    grid = rho.grid
+    kernel = _allocating_refine(_allocating_refine(rho.matrix / grid.dx, 0).conj(), 1).conj()
+    fine = grid.refined()
+    n2 = fine.n
+    n4 = 2 * n2
+    padded = np.zeros((n4, n4), dtype=complex)
+    padded[n2 // 2 : n2 // 2 + n2, n2 // 2 : n2 // 2 + n2] = kernel
+    centers = (np.arange(n2) + n2 // 2)[:, None]
+    offsets = np.arange(n4)[None, :] - n4 // 2
+    chords = padded[(centers + offsets) % n4, (centers - offsets) % n4]
+    spectrum = allocating_centered_fft(chords, 1)
+    values = np.real(spectrum[:, ::2]) * (fine.dx / math.pi)
+    xi = (np.arange(n2) - n2 // 2) * (grid.dp / 2.0)
+    return WignerGrid(fine.positions(), xi, values)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,7 +26,16 @@ from qrf.grids import (
 )
 from qrf.observables import Observable, commutator_expectation
 
-from oracles import dense_momentum, dense_position, dense_shear
+from oracles import (
+    allocating_centered_fft,
+    allocating_centered_ifft,
+    dense_momentum,
+    dense_position,
+    dense_shear,
+    meshgrid_random_wavefunction,
+)
+
+SIZES = (64, 128, 256)
 
 
 class TestGrid1D:
@@ -226,6 +237,28 @@ class TestStateBuilders:
         assert swapped.labels == ("C", "B")
         assert np.array_equal(swapped.amplitudes, psi.amplitudes.T)
 
+    def test_constructor_copies_the_callers_array(self, grid64):
+        amp = np.ones(64, dtype=complex)
+        psi = WaveFunction([("B", grid64)], amp, POSITION)
+        assert amp.flags.writeable
+        amp[0] = 5.0
+        assert psi.amplitudes[0] == 1.0
+        assert not psi.amplitudes.flags.writeable
+
+    def test_library_results_are_frozen(self, grid64, rng):
+        # results wrap the arrays they computed without a copy; none is writable
+        psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
+        results = [
+            psi,
+            psi.normalized(),
+            change_representation(psi, "B", MOMENTUM),
+            reflect_axis(psi, "C"),
+            with_axis_order(psi, ("C", "B")),
+            product_state(gaussian_state(grid64, "B"), ho_eigenstate(grid64, "C", 1)),
+        ]
+        for result in results:
+            assert not result.amplitudes.flags.writeable
+
     def test_wavefunction_validation(self, grid64):
         with pytest.raises(ValueError):
             WaveFunction([("B", grid64)], np.zeros(12), POSITION)
@@ -235,3 +268,31 @@ class TestStateBuilders:
             )
         with pytest.raises(ValueError):
             WaveFunction([("B", grid64)], np.full(64, np.nan), POSITION)
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_wavefunction_matches_meshgrid_form(self, n):
+        grid = Grid1D(n, 24.0)
+        for seed in range(3):
+            for subsystems in ([("B", grid), ("C", grid)], [("A", grid)]):
+                psi = random_wavefunction(subsystems, np.random.default_rng(seed), frame=FRAME_A)
+                ref = meshgrid_random_wavefunction(
+                    subsystems, np.random.default_rng(seed), frame=FRAME_A
+                )
+                # bytes, not array_equal: -0.0 == 0.0, but the two print differently in a CSV
+                assert psi.amplitudes.tobytes() == ref.amplitudes.tobytes()
+                assert psi.frame == ref.frame and psi.subsystems == ref.subsystems
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_change_representation_matches_allocating_fft(self, n):
+        grid = Grid1D(n, 24.0)
+        psi = random_wavefunction([("B", grid), ("C", grid)], np.random.default_rng(n))
+        root = math.sqrt(2.0 * math.pi)
+        for axis, label in enumerate(psi.labels):
+            mom = change_representation(psi, label, MOMENTUM)
+            ref = allocating_centered_fft(psi.amplitudes, axis) * (grid.dx / root)
+            assert mom.amplitudes.tobytes() == ref.tobytes()
+            back = change_representation(mom, label, POSITION)
+            ref = allocating_centered_ifft(mom.amplitudes, axis) * (root / grid.dx)
+            assert back.amplitudes.tobytes() == ref.tobytes()

@@ -12,6 +12,7 @@ from qrf.grids import (
     gaussian_state,
     ho_eigenstate,
     product_state,
+    random_wavefunction,
     to_representation,
 )
 from qrf.switching import FrameSwitch, switch_frame
@@ -29,6 +30,8 @@ from qrf.wigner import (
     wigner_of_state,
     wigner_transform,
 )
+
+from oracles import gather_wigner_transform
 
 # negativity of the first excited eigenstate's Wigner function; quadrature
 # value, cross-checked against the closed contour integral 2 exp(-1/2) - 1
@@ -120,8 +123,6 @@ class TestWignerTransform:
 
 class TestDensityMatrix:
     def test_partial_trace_properties(self, grid64, rng):
-        from qrf.grids import random_wavefunction
-
         psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
         rho = partial_trace(psi, "B")
         assert rho.grid == grid64
@@ -138,11 +139,31 @@ class TestDensityMatrix:
         with pytest.raises(InvalidDensityMatrix):
             DensityMatrix(2 * np.eye(grid64.n) / grid64.n, grid64)
 
+    def test_rejects_nan(self, grid64):
+        # every comparison with NaN is false, so each check must fail on it
+        matrix = np.eye(grid64.n, dtype=complex) / grid64.n
+        matrix[0, 0] = np.nan
+        with pytest.raises(InvalidDensityMatrix):
+            DensityMatrix(matrix, grid64)
+
     def test_rejects_negative_eigenvalues(self, grid64):
         matrix = np.eye(grid64.n, dtype=complex) / (grid64.n - 2)
         matrix[0, 0] = -1.0 / (grid64.n - 2)
         with pytest.raises(InvalidDensityMatrix):
             DensityMatrix(matrix, grid64)
+
+
+@pytest.mark.parametrize("n", (64, 128, 256))
+def test_wigner_transform_matches_gather_form(n):
+    # bytes, not array_equal: -0.0 == 0.0, but the two print differently in a CSV
+    grid = Grid1D(n, 24.0)
+    for seed in range(3):
+        psi = random_wavefunction([("B", grid), ("C", grid)], np.random.default_rng(seed), FRAME_A)
+        rho = partial_trace(switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C)), "A")
+        w = wigner_transform(rho)
+        ref = gather_wigner_transform(rho)
+        for name in ("x", "xi", "values"):
+            assert getattr(w, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestTransformedJoint:
