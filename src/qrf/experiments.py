@@ -11,6 +11,7 @@ manifest field outside that contract.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -45,7 +46,7 @@ from .grids import (
     to_representation,
 )
 from .observables import Observable, commutator_expectation
-from .physical import physical_inner_product, physical_state, reexpress
+from .physical import physical_inner_product, physical_state, reduced_labels, reexpress
 from .switching import FrameSwitch, switch_frame
 from .wigner import (
     closed_form_eigenstate_wigner,
@@ -73,6 +74,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
@@ -117,8 +120,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config must declare a 'kind'")
     kind = str(values.pop("kind"))
     seed = values.pop("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     output_dir = Path(str(values.pop("output_dir", path.parent)))
     return ExperimentConfig(kind=kind, parameters=values, output_dir=output_dir, seed=seed)
 
@@ -257,6 +258,14 @@ def _require(parameters: dict, key: str, kind_name: str):
     return parameters[key]
 
 
+def _integer(p: dict, key: str, kind_name: str, default=None) -> int:
+    """An int-valued key, required without a default; fractions and bools are rejected."""
+    value = _require(p, key, kind_name) if default is None else p.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{kind_name}: {key} must be an integer, got {value!r}")
+    return value
+
+
 @contextmanager
 def _config_values(kind_name: str):
     """Report a ValueError raised while building run objects as a ConfigError."""
@@ -343,8 +352,7 @@ def _run_wigner_study(config: ExperimentConfig):
     p = config.parameters
     mode = str(_require(p, "mode", config.kind))
     name = str(p.get("name", "wigner"))
-    with _config_values(config.kind):
-        points = int(p.get("points", 101))
+    points = _integer(p, "points", config.kind, default=101)
     if points < 2:
         raise ConfigError(f"points must be at least 2, got {points}")
     files = []
@@ -369,9 +377,9 @@ def _run_wigner_study(config: ExperimentConfig):
                 )
             )
     elif mode == "marginals":
+        level_a = _integer(p, "level_a", config.kind)
+        level_b = _integer(p, "level_b", config.kind)
         with _config_values(config.kind):
-            level_a = int(_require(p, "level_a", config.kind))
-            level_b = int(_require(p, "level_b", config.kind))
             alpha_a = float(_require(p, "alpha_a", config.kind))
             alpha_b = float(_require(p, "alpha_b", config.kind))
             joint = transformed_joint_wigner(level_a, level_b, alpha_a, alpha_b)
@@ -408,11 +416,9 @@ def _run_wigner_study(config: ExperimentConfig):
 def _run_invariant_suite(config: ExperimentConfig):
     """Quick seeded pass over the library's cross-cutting invariants."""
     rng = np.random.default_rng(config.seed)
+    grid_n = _integer(config.parameters, "grid_n", config.kind, default=64)
     with _config_values(config.kind):
-        grid = Grid1D(
-            int(config.parameters.get("grid_n", 64)),
-            float(config.parameters.get("grid_length", 20.0)),
-        )
+        grid = Grid1D(grid_n, float(config.parameters.get("grid_length", 20.0)))
     subsystems = [("B", grid), ("C", grid)]
     results: dict[str, dict] = {}
 
@@ -501,6 +507,25 @@ def _run_invariant_suite(config: ExperimentConfig):
         float(np.max(np.abs(energies - energies[0])) / abs(energies[0])),
         1e-6,
     )
+
+    # the compositional switch permutes momentum grid points, so switches
+    # compose exactly: i -> j -> k is i -> k, and i -> j -> i is the identity.
+    # Drawn last, so the checks above see the same draws as before.
+    def compositional(psi, frame):
+        return switch_frame(psi, FrameSwitch(psi.frame, frame, "compositional"))
+
+    frames = [FrameLabel(i) for i in range(3)]
+    composition_gap = 0.0
+    for start in frames:
+        axes = [(label, grid) for label in reduced_labels(start)]
+        psi = to_representation(random_wavefunction(axes, rng, frame=start), MOMENTUM)
+        images = {f: psi if f == start else compositional(psi, f) for f in frames}
+        for middle, target in itertools.permutations(images, 2):
+            if middle != start:
+                chained = compositional(images[middle], target).amplitudes
+                gap = float(np.max(np.abs(chained - images[target].amplitudes)))
+                composition_gap = max(composition_gap, gap)
+    record("switch_composition", composition_gap, 0.0)
 
     all_passed = all(entry["passed"] for entry in results.values())
     report = {"results": results, "all_passed": all_passed, "seed": config.seed}

@@ -14,9 +14,11 @@ inner product is the plain two-axis inner product of any common reduction.
 The redundancy-removing map behind these reductions is the unitary
 exp(i q_F (sum of other momenta + k)): it shifts the frame momentum so the
 constraint acts on the frame slot alone, after which projecting that slot out
-leaves the reduced amplitude.  Any k gives the same reduction; the
-k-parametrized family is checked against small dense oracles by
-``trivialization_family_check`` in the test suite's ``tests/oracles.py``.
+leaves the reduced amplitude.  Any k gives the same reduction.  The n^3
+constraint-surface embedding, the k-parametrized family built on it and its
+dense-matrix check (``trivialization_family_check``) live in the test suite's
+``tests/oracles.py``, where they define what :func:`momentum_substitution`
+must reproduce.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .classical import FREE_POTENTIAL, FrameLabel, ParticleSystem, Potential, pin_frame
 from .dynamics import reduced_energy
@@ -38,6 +41,7 @@ from .grids import (
     inner_product,
     to_matching,
     to_representation,
+    with_axis_order,
 )
 
 
@@ -56,11 +60,6 @@ def _shared_grid(psi: WaveFunction) -> Grid1D:
     return next(iter(grids))
 
 
-def _wrap(m: np.ndarray, n: int) -> np.ndarray:
-    """Fold integer momentum multiples into the grid window [-n/2, n/2)."""
-    return (m + n // 2) % n - n // 2
-
-
 def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunction:
     """Re-express a reduced two-axis amplitude relative to another frame.
 
@@ -68,6 +67,11 @@ def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunct
     permutes momentum grid points and preserves the norm identically (the
     amplitudes that wrap around the momentum window are the ones the boundary
     decay requirement makes negligible).
+
+    With new frame F, remaining particle R, old frame O and axis index
+    i = m + n/2, the map is out[i_O, i_R] = in[(n/2 - i_O - i_R) mod n, i_R]:
+    F's axis is reversed about n/2 and read along the diagonals i_O + i_R,
+    which one strided view of the twice-stacked reversed array does.
     """
     if psi.frame is None:
         raise FrameMismatch("state carries no frame tag")
@@ -80,18 +84,19 @@ def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunct
             f" got {psi.labels}"
         )
     grid = _shared_grid(psi)
-    work = to_representation(psi, MOMENTUM)
     n = grid.n
     out_labels = reduced_labels(new_frame)
-    m = np.arange(n) - n // 2
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
-    values = {out_labels[0]: m1, out_labels[1]: m2}
-    values[new_frame.name] = _wrap(-m1 - m2, n)
-    source = [(values[label] + n // 2) % n for label in work.labels]
-    amplitudes = work.amplitudes[source[0], source[1]]
+    remaining = next(label for label in out_labels if label != old_frame.name)
+    work = with_axis_order(to_representation(psi, MOMENTUM), (new_frame.name, remaining))
+    # rows k and k + n both hold in[(n/2 - k) mod n]
+    stacked = work.amplitudes[(n // 2 - np.arange(2 * n)) % n]
+    row, col = stacked.strides
+    skew = as_strided(stacked, (n, n), (row, row + col))  # [i_O, i_R]
+    if out_labels[0] == remaining:
+        skew = skew.T
     return WaveFunction._adopt(
-        [(out_labels[0], grid), (out_labels[1], grid)],
-        amplitudes,
+        [(label, grid) for label in out_labels],
+        np.ascontiguousarray(skew),
         MOMENTUM,
         frame=new_frame,
     )
@@ -276,40 +281,3 @@ def reduced_quantum_hamiltonian(
     kinetic_grid = reduced_energy(np.zeros_like(momenta), momenta, frame, FREE_POTENTIAL, system)
     potential_grid = potential(pin_frame(positions, frame))
     return GridHamiltonian(subsystems, kinetic_grid, potential_grid, frame)
-
-
-# ---------------------------------------------------------------------------
-# k-parametrized trivialization family
-# ---------------------------------------------------------------------------
-
-
-def constraint_surface_amplitude(state: PhysicalState) -> np.ndarray:
-    """Three-axis momentum amplitude with the frame momentum solved for.
-
-    Index order is (A, B, C); entry (m_A, m_B, m_C) is populated only on the
-    grid image of the constraint surface m_A + m_B + m_C = 0 (mod n).
-    """
-    n = state.grid.n
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    frame_idx = ((-(ii - n // 2) - (jj - n // 2)) + n // 2) % n
-    full = np.zeros((n, n, n), dtype=complex)
-    index = [ii, jj]
-    index.insert(state.frame.index, frame_idx)
-    full[tuple(index)] = state.canonical.amplitudes
-    return full
-
-
-def _trivialized_reduction(state: PhysicalState, kappa: int) -> np.ndarray:
-    """Apply the k-shifted redundancy removal and project out the frame slot."""
-    grid = state.grid
-    n = grid.n
-    full = constraint_surface_amplitude(state)
-    frame_axis = state.frame.index
-    idx = np.indices((n, n, n))
-    m = [axis - n // 2 for axis in idx]
-    other_axes = [a for a in range(3) if a != frame_axis]
-    shift = m[other_axes[0]] + m[other_axes[1]] + kappa
-    source = list(idx)
-    source[frame_axis] = (idx[frame_axis] - shift) % n
-    shifted = full[tuple(source)]
-    return shifted.sum(axis=frame_axis)

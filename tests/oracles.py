@@ -7,10 +7,16 @@ they ship with the tests, not with the ``qrf`` package.  The convention is the f
 sqrt(cell volume) so that unitary operators are unitary matrices.
 
 Besides the per-axis operators, the module holds the explicit reduced
-Hamiltonian matrix and its ground energy, the band-limited refinement matrix
-behind the Wigner transform, and the k-shifted trivialization check, whose
-per-block dense algebra confirms the redundancy-removing map of
-:mod:`qrf.physical`.  Two classical references ride along: the spring
+Hamiltonian matrix and its ground energy and the band-limited refinement
+matrix behind the Wigner transform.  The frame change is defined here
+twice, and the strided gather of ``qrf.physical.momentum_substitution`` must
+match both byte for byte: the n^3 perspective-neutral embedding
+``constraint_surface_amplitude``, whose sum over frame j's axis is the frame-j
+reduction, and ``meshgrid_momentum_substitution``, the gather through int64
+index grids that the production code replaced.  The k-shifted
+``trivialized_reduction`` is built on the embedding, and
+``trivialization_family_check`` confirms its per-block dense algebra.  Two
+classical references ride along: the spring
 potential with its per-spring gradient loop, and the leapfrog that evaluates
 the force twice per Strang substep; the production integrator must match them
 bit for bit.  So do three phase-space references, which the production code
@@ -31,9 +37,9 @@ import numpy as np
 from qrf.classical import Potential, pin_frame
 from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, kinetic_matrix
 from qrf.errors import QRFError
-from qrf.grids import POSITION, Grid1D, WaveFunction, to_representation
+from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, to_representation
 from qrf.observables import Observable
-from qrf.physical import GridHamiltonian, PhysicalState, _trivialized_reduction
+from qrf.physical import GridHamiltonian, PhysicalState, reduced_labels
 from qrf.wigner import DensityMatrix, WignerGrid
 
 MAX_DENSE_DIM = 4096
@@ -241,8 +247,66 @@ def ground_energy(h: GridHamiltonian) -> float:
 
 
 # ---------------------------------------------------------------------------
-# k-parametrized trivialization family
+# The frame change through the perspective-neutral state, and the
+# k-parametrized trivialization family built on it
 # ---------------------------------------------------------------------------
+
+
+def meshgrid_momentum_substitution(psi: WaveFunction, new_frame) -> WaveFunction:
+    """``momentum_substitution`` gathering through int64 meshgrid/modulo index grids.
+
+    Each output point (m_1, m_2) names its own momenta and solves the new
+    frame's, wrapped into the grid window; the input is read there.  No
+    validation: the state must be a frame reduction on one shared grid.
+    """
+    grid = psi.subsystems[0][1]
+    work = to_representation(psi, MOMENTUM)
+    n = grid.n
+    out_labels = reduced_labels(new_frame)
+    m = np.arange(n) - n // 2
+    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    values = {out_labels[0]: m1, out_labels[1]: m2}
+    values[new_frame.name] = (-m1 - m2 + n // 2) % n - n // 2
+    source = [(values[label] + n // 2) % n for label in work.labels]
+    return WaveFunction(
+        [(label, grid) for label in out_labels],
+        work.amplitudes[source[0], source[1]],
+        MOMENTUM,
+        frame=new_frame,
+    )
+
+
+def constraint_surface_amplitude(state: PhysicalState) -> np.ndarray:
+    """Three-axis momentum amplitude with the frame momentum solved for.
+
+    Index order is (A, B, C); entry (m_A, m_B, m_C) is populated only on the
+    grid image of the constraint surface m_A + m_B + m_C = 0 (mod n).  This is
+    the perspective-neutral state: summing out frame j's axis gives the
+    frame-j reduction.
+    """
+    n = state.grid.n
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    frame_idx = ((-(ii - n // 2) - (jj - n // 2)) + n // 2) % n
+    full = np.zeros((n, n, n), dtype=complex)
+    index = [ii, jj]
+    index.insert(state.frame.index, frame_idx)
+    full[tuple(index)] = state.canonical.amplitudes
+    return full
+
+
+def trivialized_reduction(state: PhysicalState, kappa: int) -> np.ndarray:
+    """Apply the k-shifted redundancy removal and project out the frame slot."""
+    n = state.grid.n
+    full = constraint_surface_amplitude(state)
+    frame_axis = state.frame.index
+    idx = np.indices((n, n, n))
+    m = [axis - n // 2 for axis in idx]
+    other_axes = [a for a in range(3) if a != frame_axis]
+    shift = m[other_axes[0]] + m[other_axes[1]] + kappa
+    source = list(idx)
+    source[frame_axis] = (idx[frame_axis] - shift) % n
+    shifted = full[tuple(source)]
+    return shifted.sum(axis=frame_axis)
 
 
 @dataclass(frozen=True)
@@ -318,8 +382,8 @@ def trivialization_family_check(
     if abs(kappa) > grid.n // 2 - 1:
         raise KOutOfRange(f"k={k} lies outside the momentum window")
 
-    base = _trivialized_reduction(state, 0)
-    shifted = _trivialized_reduction(state, kappa)
+    base = trivialized_reduction(state, 0)
+    shifted = trivialized_reduction(state, kappa)
     overlap = abs(np.vdot(base, shifted)) ** 2
     fidelity = overlap / (np.linalg.norm(base) ** 2 * np.linalg.norm(shifted) ** 2)
 

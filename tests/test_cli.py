@@ -179,6 +179,12 @@ class TestRunExperiment:
         assert all("value" in entry for entry in report["results"].values())
 
 
+MARGINALS = (
+    "kind = wigner-study\nmode = marginals\nlevel_a = {level_a}\nlevel_b = {level_b}\n"
+    "alpha_a = 1\nalpha_b = 1\n"
+)
+
+
 def trajectory_config(**values) -> str:
     """A valid classical-trajectory config body with some values replaced."""
     values = {"omega_a": "1", "omega_b": "1", "a0": "1", "b0": "1", **values}
@@ -223,12 +229,23 @@ class TestCommandLine:
             "kind = wigner-study\nmode = eigenstates\nhalf_width = nan\n",
             trajectory_config(t_final="1e300", dt="1e-300"),
             trajectory_config(t_final="1e4", dt="1e-5"),
+            # integer keys: a fraction or a boolean is rejected, not truncated
+            MARGINALS.format(level_a="0.9", level_b="0"),
+            MARGINALS.format(level_a="0", level_b="true"),
+            "kind = wigner-study\nmode = eigenstates\npoints = 41.5\n",
+            "kind = wigner-study\nmode = eigenstates\npoints = true\n",
+            "kind = invariant-suite\ngrid_n = 16.5\n",
+            "kind = invariant-suite\ngrid_n = true\n",
+            "kind = invariant-suite\nseed = -2\n",
+            "kind = invariant-suite\nseed = true\n",
         ],
         ids=[
             "t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative",
             "alpha_a-nan", "alpha-nan", "omega_a-nan", "a0-nan", "b0-inf", "phi_a-nan",
             "m_a-nan", "grid_length-nan", "grid_length-inf", "half_width-nan",
-            "rows-overflow", "rows-over-cap",
+            "rows-overflow", "rows-over-cap", "level_a-fraction", "level_b-bool",
+            "points-fraction", "points-bool", "grid_n-fraction", "grid_n-bool",
+            "seed-negative", "seed-bool",
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):
@@ -258,6 +275,12 @@ class TestCommandLine:
         )
         assert main(["run", str(path)]) == 3
         assert "not converged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_suite_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["suite", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_suite_command(self, tmp_path):

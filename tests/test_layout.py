@@ -66,6 +66,8 @@ def test_the_package_ships_no_oracles():
     }
     assert not oracles & set(vars(qrf))
     assert not {"TooLarge", "KOutOfRange"} & set(vars(qrf.errors))
+    # the n^3 frame-change references; momentum_substitution is the one copy
+    assert not {"constraint_surface_amplitude", "_trivialized_reduction"} & set(vars(qrf.physical))
 
 
 @pytest.mark.parametrize("name", sorted({p.name for p in SOURCES} | {ORACLE_MODULE}))

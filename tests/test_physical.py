@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrf.classical import (
@@ -30,7 +32,6 @@ from qrf.grids import (
 )
 from qrf.observables import Observable
 from qrf.physical import (
-    constraint_surface_amplitude,
     momentum_substitution,
     physical_inner_product,
     physical_state,
@@ -41,17 +42,34 @@ from qrf.physical import (
 
 from oracles import (
     KOutOfRange,
+    constraint_surface_amplitude,
     dense_total_momentum,
     fourier_matrix,
     ground_energy,
+    meshgrid_momentum_substitution,
     trivialization_family_check,
+    trivialized_reduction,
 )
+
+FRAMES = (FRAME_A, FRAME_B, FRAME_C)
+PAIRS = [(start, target) for start in FRAMES for target in FRAMES if start != target]
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def random_state(grid, rng, frame=FRAME_A):
     labels = reduced_labels(frame)
     psi = random_wavefunction([(l, grid) for l in labels], rng, frame=frame)
     return physical_state(psi, frame)
+
+
+def seeded_reduction(n, seed, frame, representation):
+    """A seeded frame reduction on the L = 24 box, in the named representation."""
+    labels = reduced_labels(frame)
+    grid = Grid1D(n, 24.0)
+    psi = random_wavefunction([(l, grid) for l in labels], np.random.default_rng(seed), frame=frame)
+    if representation == "mixed":
+        return change_representation(psi, labels[1], MOMENTUM)
+    return to_representation(psi, representation)
 
 
 class TestPhysicalState:
@@ -106,6 +124,37 @@ class TestReexpress:
         psi = to_representation(psi, MOMENTUM)
         moved = momentum_substitution(psi, FRAME_B)
         assert moved.norm() == pytest.approx(psi.norm(), abs=1e-14)
+
+
+class TestStridedGather:
+    """The substitution permutes amplitudes without arithmetic, so its bytes are fixed.
+
+    Bytes, not array_equal: equal values could still differ in the sign of a
+    zero, and the references run the same permutation another way.
+    """
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    @given(seed=SEEDS, representation=st.sampled_from([POSITION, MOMENTUM, "mixed"]))
+    @settings(max_examples=4, deadline=None)
+    def test_matches_the_meshgrid_gather(self, n, seed, representation):
+        for start, target in PAIRS:
+            psi = seeded_reduction(n, seed, start, representation)
+            out = momentum_substitution(psi, target)
+            expected = meshgrid_momentum_substitution(psi, target)
+            assert out.amplitudes.flags.c_contiguous
+            assert out.labels == expected.labels == reduced_labels(target)
+            assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @given(seed=SEEDS)
+    @settings(max_examples=4, deadline=None)
+    def test_perspective_neutral_state_sums_to_each_reduction(self, n, seed):
+        # the constraint-surface embedding holds every frame's reduction at once
+        for start, target in PAIRS:
+            state = physical_state(seeded_reduction(n, seed, start, POSITION), start)
+            reduced = constraint_surface_amplitude(state).sum(axis=target.index)
+            expected = momentum_substitution(state.canonical, target)
+            assert reduced.tobytes() == expected.amplitudes.tobytes()
 
 
 class TestPhysicalInnerProduct:
@@ -318,9 +367,7 @@ class TestTrivializationFamily:
         assert report.kappa == 0
         assert report.reduced_fidelity_vs_base == pytest.approx(1.0, abs=1e-12)
         # the k = 0 extraction is the reduction the re-expression machinery uses
-        from qrf.physical import _trivialized_reduction
-
-        reduced = _trivialized_reduction(state, 0)
+        reduced = trivialized_reduction(state, 0)
         reduced /= np.linalg.norm(reduced) / np.sqrt(
             np.sum(np.abs(state.canonical.amplitudes) ** 2)
         )

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrf.classical import (
     FRAME_A,
@@ -11,6 +14,9 @@ from qrf.dynamics import OscillatorParams
 from qrf.errors import FrameMismatch, UnsupportedObservable
 from qrf.grids import (
     MOMENTUM,
+    POSITION,
+    Grid1D,
+    change_representation,
     fidelity,
     ho_eigenstate,
     product_state,
@@ -33,8 +39,17 @@ from qrf.wigner import entanglement_entropy
 SWITCHED_GROUND_ENTROPY = 0.5533032997
 
 
+FRAMES = (FRAME_A, FRAME_B, FRAME_C)
+PAIRS = [(start, target) for start in FRAMES for target in FRAMES if start != target]
+SEEDS = st.integers(0, 2**32 - 1)
+
+
 def two_axis_state(grid, rng, frame=FRAME_A):
     return random_wavefunction([(l, grid) for l in reduced_labels(frame)], rng, frame=frame)
+
+
+def compositional(start, target):
+    return FrameSwitch(start, target, backend="compositional")
 
 
 class TestFrameSwitch:
@@ -99,6 +114,63 @@ class TestFrameSwitch:
         for backend in BACKENDS:
             out = switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C, backend=backend))
             assert out.representation == (MOMENTUM, MOMENTUM)
+
+
+class TestGroupLaw:
+    """On momentum input the compositional switch permutes grid points.
+
+    A permutation composes exactly, so chained switches are compared byte for
+    byte: switch(j -> k) after switch(i -> j) is switch(i -> k), and with
+    k = i it is the identity.
+    """
+
+    @staticmethod
+    def momentum_state(n, seed, frame):
+        grid = Grid1D(n, 24.0)
+        psi = two_axis_state(grid, np.random.default_rng(seed), frame=frame)
+        return to_representation(psi, MOMENTUM)
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @given(seed=SEEDS)
+    @settings(max_examples=4, deadline=None)
+    def test_composition(self, n, seed):
+        for start, middle in PAIRS:
+            psi = self.momentum_state(n, seed, start)
+            target = next(f for f in FRAMES if f not in (start, middle))
+            chained = switch_frame(
+                switch_frame(psi, compositional(start, middle)), compositional(middle, target)
+            )
+            direct = switch_frame(psi, compositional(start, target))
+            assert chained.labels == direct.labels and chained.frame == direct.frame
+            assert chained.amplitudes.tobytes() == direct.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @given(seed=SEEDS)
+    @settings(max_examples=4, deadline=None)
+    def test_round_trip(self, n, seed):
+        for start, target in PAIRS:
+            psi = self.momentum_state(n, seed, start)
+            sw = compositional(start, target)
+            back = switch_frame(switch_frame(psi, sw), sw.reversed())
+            assert back.labels == psi.labels and back.frame == psi.frame
+            assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @given(seed=SEEDS, representation=st.sampled_from([POSITION, MOMENTUM, "mixed"]))
+    @settings(max_examples=4, deadline=None)
+    def test_parity_shear_is_the_permutation(self, n, seed, representation):
+        # the shear phase exp(i x_j p_k) is a DFT kernel, so on the grid the
+        # parity-shear backend is the same map up to rounding
+        for start, target in PAIRS:
+            psi = self.momentum_state(n, seed, start)
+            if representation == "mixed":
+                psi = change_representation(psi, reduced_labels(start)[0], POSITION)
+            else:
+                psi = to_representation(psi, representation)
+            sheared = switch_frame(psi, FrameSwitch(start, target, backend="parity-shear"))
+            permuted = switch_frame(psi, compositional(start, target))
+            peak = np.max(np.abs(permuted.amplitudes))
+            assert np.max(np.abs(sheared.amplitudes - permuted.amplitudes)) <= 1e-15 * peak
 
 
 class TestObservableDictionary:
