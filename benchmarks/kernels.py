@@ -26,9 +26,11 @@ KERNEL is one of:
   at n = 64, 128 and 256, box L = 24 (the ``switch-small`` box).  A child
   runs one warm-up draw, then times fresh seeded draws.  It fails on a norm
   off 1 by more than 1e-12.
-* ``wigner``: ``partial_trace`` plus ``wigner_transform`` in milliseconds per
-  call at n = 64, 128 and 256, L = 24, on one seeded draw in frame A switched
-  to frame C (parity-shear), keeping A.  A child runs one warm-up call.  It
+* ``wigner``: ``partial_trace`` and ``wigner_transform``, each in
+  milliseconds per call, at n = 64, 128 and 256, L = 24, on one seeded draw
+  in frame A switched to frame C (parity-shear), keeping A: the results hold
+  ``n<size>-partial_trace`` and ``n<size>-wigner_transform``, the latter
+  timed on one reduced matrix.  A child runs one warm-up call of each.  It
   fails when the Wigner integral is off 1 by more than 1e-4.
 * ``switch``: ``switch_frame`` A -> C in milliseconds per call at n = 64, 128
   and 256, L = 24, on one seeded draw, for each backend: the results hold
@@ -175,15 +177,19 @@ n, length = int(sys.argv[2]), float(sys.argv[3])
 grid = Grid1D(n, length)
 psi = random_wavefunction((("B", grid), ("C", grid)), np.random.default_rng(0), frame=FRAME_A)
 out = switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C))
-wigner_transform(partial_trace(out, "A"))
-best = float("inf")
-for _ in range(3):
-    start = time.perf_counter()
-    w = wigner_transform(partial_trace(out, "A"))
-    best = min(best, time.perf_counter() - start)
-if abs(w.integral() - 1.0) > 1e-4:
-    sys.exit(f"Wigner integral off: {w.integral():.6f}")
-print(1e3 * best, qrf.__version__)
+rho = partial_trace(out, "A")
+wigner_transform(rho)
+times = []
+for call in (lambda: partial_trace(out, "A"), lambda: wigner_transform(rho)):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    times.append(1e3 * best)
+if abs(result.integral() - 1.0) > 1e-4:
+    sys.exit(f"Wigner integral off: {result.integral():.6f}")
+print(*times, qrf.__version__)
 """
 
 SWITCH_CHILD = """
@@ -250,9 +256,10 @@ KERNELS = {
         {"length": STATE_BOX, "axes": 2, "seeds": [1, 2, 3]},
     ),
     "wigner": Kernel(
-        "partial_trace + wigner_transform time", "ms per call", "n", STATE_SIZES, WIGNER_CHILD,
+        "partial_trace and wigner_transform time", "ms per call", "n", STATE_SIZES, WIGNER_CHILD,
         lambda n: (n, STATE_BOX),
         {"length": STATE_BOX, "seed": 0, "switch": "A -> C, parity-shear", "keep": "A"},
+        series=("partial_trace", "wigner_transform"),
     ),
     "switch": Kernel(
         "switch_frame time", "ms per call", "n", STATE_SIZES, SWITCH_CHILD,

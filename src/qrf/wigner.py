@@ -11,6 +11,18 @@ come out right: the x samples then have spacing dx/2 and the xi samples dp/2
 over the full original momentum window.  For states that decay inside the box
 the result matches the continuum transform to spectral accuracy.
 
+Three facts keep the transform cheap.  The fine grid shares the coarse grid's
+origin (n is a power of two), so the refinement needs no centring signs and
+its even samples are the coarse ones; the odd samples are one uncentred FFT
+pair with a half-step twiddle.  The two indices of a chord share their
+parity, so only the even-even and odd-odd blocks of the refined kernel are
+ever read.  And only every other chord frequency of the doubled box is
+reported, so each chord row takes one FFT of the refined length, not of the
+doubled box (the pruned-FFT argument of Markel, IEEE Trans. Audio
+Electroacoust. 19, 305 (1971)).  Density matrices the library builds as
+a a^dagger are positive semidefinite by construction and skip the
+constructor's checks.
+
 Closed forms for the oscillator eigenstate Wigner functions,
 
     f0 = 1/pi exp(-a x^2) exp(-xi^2 / a),
@@ -43,8 +55,8 @@ from .grids import (
     POSITION,
     Grid1D,
     WaveFunction,
-    _centered_fft,
-    _centered_ifft,
+    _alternating,
+    _along_axis,
     to_representation,
 )
 
@@ -115,13 +127,28 @@ class DensityMatrix:
         eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
         if not (eigenvalues.min() >= -1e-8):
             raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues.min():.3e}")
-        matrix = matrix.copy()
+        self._set(matrix.copy(), grid)
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray, grid: Grid1D) -> "DensityMatrix":
+        """A density matrix over an array the library has just made, unchecked.
+
+        For products a a^dagger of a normalized state's amplitudes, which are
+        positive semidefinite with unit trace by construction, and which no
+        caller holds: the array is frozen in place, not copied.
+        """
+        rho = cls.__new__(cls)
+        rho._set(matrix, grid)
+        return rho
+
+    def _set(self, matrix: np.ndarray, grid: Grid1D) -> None:
         matrix.setflags(write=False)
         self.matrix = matrix
         self.grid = grid
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """tr rho^2, as the sum of |rho_ab|^2 (equal for Hermitian rho)."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def entropy(self) -> float:
         """Von Neumann entropy in nats."""
@@ -137,7 +164,7 @@ def density_matrix_from_pure(psi: WaveFunction) -> DensityMatrix:
     work = to_representation(psi, POSITION).normalized()
     grid = work.subsystems[0][1]
     amp = work.amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()) * grid.dx, grid)
+    return DensityMatrix._adopt(np.outer(amp, amp.conj()) * grid.dx, grid)
 
 
 def partial_trace(psi: WaveFunction, keep: str) -> DensityMatrix:
@@ -151,62 +178,88 @@ def partial_trace(psi: WaveFunction, keep: str) -> DensityMatrix:
     other_grid = work.subsystems[other_axis][1]
     amp = work.amplitudes if axis == 0 else work.amplitudes.T
     matrix = (amp @ amp.conj().T) * other_grid.dx * grid.dx
-    return DensityMatrix(matrix, grid)
+    return DensityMatrix._adopt(matrix, grid)
 
 
-def _refine(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Band-limited interpolation onto the doubled grid along one axis.
+def _half_step(arr: np.ndarray, axis: int, adjoint: bool = False) -> np.ndarray:
+    """Band-limited values half a coarse step further along one axis: S a or a S^dagger.
 
-    Zero-pads the centered momentum window from n to 2n samples; the two
-    transform normalizations, dx / sqrt(2 pi) and 2n dp / sqrt(2 pi), combine
-    to the factor 2.
+    S a = ifft(t fft(a)) with t_k = exp(i pi k / n) over the signed
+    frequencies k in [-n/2, n/2), the coarse momentum window; along rows,
+    a S^dagger = fft(conj(t) ifft(a)).  S is the odd-row half of the
+    refinement R onto the doubled grid: the fine grid shares the coarse
+    origin (x'_2j = x_j), so R's even rows copy the coarse samples.
     """
     n = arr.shape[axis]
-    widths = [(n // 2, n // 2) if a == axis else (0, 0) for a in range(arr.ndim)]
-    return 2.0 * _centered_ifft(np.pad(_centered_fft(arr, axis), widths), axis)
+    sign = -1.0 if adjoint else 1.0
+    twiddle = np.exp((1j * sign * math.pi / n) * np.fft.fftfreq(n, 1.0 / n))
+    forward, back = (np.fft.ifft, np.fft.fft) if adjoint else (np.fft.fft, np.fft.ifft)
+    out = forward(arr, axis=axis)
+    out *= _along_axis(twiddle, arr.ndim, axis)
+    back(out, axis=axis, out=out)
+    return out
 
 
 def refined_kernel(rho: DensityMatrix) -> np.ndarray:
     """Density kernel rho(x, x') band-limited onto the doubled grid on both axes.
 
-    Equals R (rho / dx) R^dagger for the refinement matrix R.
+    Equals R (rho / dx) R^dagger for the refinement matrix R: its four
+    parity blocks are rho, S rho, rho S^dagger and S rho S^dagger (over dx).
     """
-    return _refine(_refine(rho.matrix / rho.grid.dx, 0).conj(), 1).conj()
+    n = rho.grid.n
+    matrix = rho.matrix / rho.grid.dx
+    shifted = _half_step(matrix, 0)
+    kernel = np.empty((2 * n, 2 * n), dtype=complex)
+    kernel[0::2, 0::2] = matrix
+    kernel[0::2, 1::2] = _half_step(matrix, 1, adjoint=True)
+    kernel[1::2, 0::2] = shifted
+    kernel[1::2, 1::2] = _half_step(shifted, 1, adjoint=True)
+    return kernel
 
 
 def wigner_transform(rho: DensityMatrix) -> WignerGrid:
     """Discrete Wigner function of a density matrix.
 
     The kernel is band-limited onto the doubled grid (half-step chords, which
-    is what makes both marginals exact) and zero-padded into a doubled box of
-    N = 2 n2 samples per axis before the chord transform, exiling the periodic
-    ghost image at distance L/2 from the state outside the reported window.
-    Output samples: x on the refined position grid (spacing dx/2) over the
-    original box, xi spaced dp/2 across the full momentum window.
+    is what makes both marginals exact) and the chord transform runs over the
+    zero-padded kernel, as if in a doubled box of 2 n2 samples per axis: that
+    exiles the periodic ghost image at distance L/2 from the state outside the
+    reported window.  Output samples: x on the refined position grid (spacing
+    dx/2) over the original box, xi spaced dp/2 across the full momentum
+    window.
 
-    The chord table chords[c, o] = padded[c' + o, c' - o] (c' = c + n2/2, o
-    from -N/2) vanishes for |o| >= n2/2, where one index leaves the kernel
-    block.  Its nonzero band is read from one strided view of ``padded``: row
-    c, column j (o = j - n2/2) is flat element n2 + c (N + 1) + j (N - 1).
+    The chord row at fine centre c holds K[c + o, c - o] for o = j - n2/2,
+    j in [0, n2), zero where an index leaves the kernel K = R rho R^dagger.
+    The two indices of a chord share their parity, so only the even-even
+    block of K (rho itself) and the odd-odd block (S rho S^dagger, see
+    ``_half_step``) are read.  Each is scattered into the zeroed chord table
+    through one strided view: rho[a, b] lands at row a + b, column
+    a - b + n2/2 (flat a (n2 + 1) + b (n2 - 1) + n2/2), and the odd-odd entry
+    one row further down.  Only the even samples of each row's centred DFT
+    over the doubled box are reported, and for a row nonzero only on its
+    middle n2 entries those are the centred length-n2 DFT of the row,
+
+        Y[2l] = (-1)^l sum_j (-1)^j row[j] exp(-2 pi i l j / n2),
+
+    so each row takes one length-n2 FFT (Markel's pruning).  The input signs
+    (-1)^j = (-1)^(a + b) ride on the scatter, and the output signs on the
+    final real scale: 1/dx for the kernel times the chord step dx/2 over pi.
     """
     grid = rho.grid
-    kernel = refined_kernel(rho)
+    n = grid.n
     fine = grid.refined()
     n2 = fine.n
-    n4 = 2 * n2
-    padded = np.zeros((n4, n4), dtype=complex)
-    padded[n2 // 2 : n2 // 2 + n2, n2 // 2 : n2 // 2 + n2] = kernel
-    step = padded.itemsize
-    band = np.lib.stride_tricks.as_strided(
-        padded.reshape(-1)[n2:],
-        shape=(n2, n2),
-        strides=((n4 + 1) * step, (n4 - 1) * step),
-        writeable=False,
-    )
-    chords = np.zeros((n2, n4), dtype=complex)  # original box only
-    chords[:, n2 // 2 : n2 // 2 + n2] = band
-    spectrum = _centered_fft(chords, 1)
-    values = np.real(spectrum[:, ::2]) * (fine.dx / math.pi)
+    signs = _alternating(n)
+    checker = np.multiply.outer(signs, signs)
+    chords = np.zeros((n2, n2), dtype=complex)
+    flat = chords.reshape(-1)
+    strides = ((n2 + 1) * chords.itemsize, (n2 - 1) * chords.itemsize)
+    shifted = _half_step(_half_step(rho.matrix, 0), 1, adjoint=True)
+    for start, block in ((n, rho.matrix), (n2 + n, shifted)):
+        view = np.lib.stride_tricks.as_strided(flat[start:], shape=(n, n), strides=strides)
+        np.multiply(block, checker, out=view)
+    np.fft.fft(chords, axis=1, out=chords)
+    values = np.real(chords) * (_alternating(n2) / (2.0 * math.pi))
     xi = (np.arange(n2) - n2 // 2) * (grid.dp / 2.0)
     return WignerGrid(fine.positions(), xi, values)
 

@@ -20,10 +20,15 @@ classical references ride along: the spring
 potential with its per-spring gradient loop, and the leapfrog that evaluates
 the force twice per Strang substep; the production integrator must match them
 bit for bit.  So do three phase-space references, which the production code
-must match byte for byte: ``random_wavefunction`` over an n^d meshgrid, the
-centered FFTs that allocate a fresh array per step, and ``wigner_transform``
-gathering its chord table through modulo index grids.  Test modules import
-it as ``oracles``: pytest puts this directory on ``sys.path``.
+must match byte for byte: ``random_wavefunction`` over an n^d meshgrid and
+the centered FFTs that allocate a fresh array per step.  The Wigner transform
+has two earlier forms, which agree with each other byte for byte and with the
+production transform to rounding: the full doubled-box chord table gathered
+through modulo index grids, and the same table read through one strided
+view.  The exact Gaussian reference for the frame-switched product ground
+state (its covariance matrix, reduced entropy and purity) closes the module.
+Test modules import it as ``oracles``: pytest puts this directory on
+``sys.path``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from qrf.classical import Potential, pin_frame
+from qrf.classical import (
+    FRAME_C,
+    FrameLabel,
+    Potential,
+    ReducedPhasePoint,
+    classical_frame_switch,
+    pin_frame,
+)
 from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, kinetic_matrix
 from qrf.errors import QRFError
 from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, to_representation
@@ -494,7 +506,7 @@ def two_force_leapfrog(initial, potential, system, t_final, dt, order=2):
 
 
 # ---------------------------------------------------------------------------
-# Phase-space path: the unoptimized forms, byte for byte
+# Phase-space path: the unoptimized forms
 # ---------------------------------------------------------------------------
 
 
@@ -541,19 +553,102 @@ def _allocating_refine(arr: np.ndarray, axis: int) -> np.ndarray:
     return 2.0 * allocating_centered_ifft(np.pad(allocating_centered_fft(arr, axis), widths), axis)
 
 
-def gather_wigner_transform(rho: DensityMatrix) -> WignerGrid:
-    """``wigner_transform`` reading every chord through modulo index grids."""
+def _doubled_box(rho: DensityMatrix) -> np.ndarray:
+    """The refined kernel rho / dx, zero-padded into a (2 n2, 2 n2) box."""
     grid = rho.grid
     kernel = _allocating_refine(_allocating_refine(rho.matrix / grid.dx, 0).conj(), 1).conj()
-    fine = grid.refined()
-    n2 = fine.n
-    n4 = 2 * n2
-    padded = np.zeros((n4, n4), dtype=complex)
+    n2 = 2 * grid.n
+    padded = np.zeros((2 * n2, 2 * n2), dtype=complex)
     padded[n2 // 2 : n2 // 2 + n2, n2 // 2 : n2 // 2 + n2] = kernel
+    return padded
+
+
+def _doubled_box_wigner(rho: DensityMatrix, chords: np.ndarray) -> WignerGrid:
+    """Every other sample of the centred length-2 n2 DFT of each chord row."""
+    grid = rho.grid
+    fine = grid.refined()
+    spectrum = allocating_centered_fft(chords, 1)
+    values = np.real(spectrum[:, ::2]) * (fine.dx / math.pi)
+    xi = (np.arange(fine.n) - fine.n // 2) * (grid.dp / 2.0)
+    return WignerGrid(fine.positions(), xi, values)
+
+
+def gather_wigner_transform(rho: DensityMatrix) -> WignerGrid:
+    """``wigner_transform`` reading every chord through modulo index grids."""
+    padded = _doubled_box(rho)
+    n4 = padded.shape[0]
+    n2 = n4 // 2
     centers = (np.arange(n2) + n2 // 2)[:, None]
     offsets = np.arange(n4)[None, :] - n4 // 2
     chords = padded[(centers + offsets) % n4, (centers - offsets) % n4]
-    spectrum = allocating_centered_fft(chords, 1)
-    values = np.real(spectrum[:, ::2]) * (fine.dx / math.pi)
-    xi = (np.arange(n2) - n2 // 2) * (grid.dp / 2.0)
-    return WignerGrid(fine.positions(), xi, values)
+    return _doubled_box_wigner(rho, chords)
+
+
+def strided_wigner_transform(rho: DensityMatrix) -> WignerGrid:
+    """``wigner_transform`` of 0.3.1: the chord band read through one strided view.
+
+    Row c, column j of the band (chord offset j - n2/2) is flat element
+    n2 + c (N + 1) + j (N - 1) of the N = 2 n2 box; the rest of each row of
+    the (n2, N) chord table is zero.
+    """
+    padded = _doubled_box(rho)
+    n4 = padded.shape[0]
+    n2 = n4 // 2
+    step = padded.itemsize
+    band = np.lib.stride_tricks.as_strided(
+        padded.reshape(-1)[n2:],
+        shape=(n2, n2),
+        strides=((n4 + 1) * step, (n4 - 1) * step),
+        writeable=False,
+    )
+    chords = np.zeros((n2, n4), dtype=complex)
+    chords[:, n2 // 2 : n2 // 2 + n2] = band
+    return _doubled_box_wigner(rho, chords)
+
+
+# ---------------------------------------------------------------------------
+# Exact Gaussian reference for perspective-dependent entanglement
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GaussianReduction:
+    """One particle's reduced state of a Gaussian pure state, in closed form."""
+
+    nu: float  # symplectic eigenvalue, 1/2 for a pure reduced state
+    entropy: float  # von Neumann entropy in nats
+    purity: float
+
+
+def switched_ground_reduction(
+    alpha_a: float, alpha_b: float, frame: FrameLabel, keep: str
+) -> GaussianReduction:
+    """Reduced state of ``keep`` after switching the frame-C product ground state.
+
+    The state exp(-(alpha_A q_A^2 + alpha_B q_B^2) / 2) has the covariance
+    sigma = diag(1/(2 alpha_A), 1/(2 alpha_B), alpha_A/2, alpha_B/2) over
+    (q_A, q_B, p_A, p_B).  The switch is linear and symplectic; its matrix M
+    is ``classical_frame_switch`` applied to unit vectors, and the switched
+    covariance is M sigma M^T.  The kept particle's 2 x 2 block has the
+    symplectic eigenvalue nu = sqrt(det), entropy
+    (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) and purity 1/(2 nu)
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  Switching to frame
+    A and keeping B gives nu = sqrt((alpha_A + alpha_B) / (4 alpha_A)).
+    """
+    columns = []
+    for unit in np.eye(4):
+        moved = classical_frame_switch(ReducedPhasePoint(FRAME_C, unit[:2], unit[2:]), frame)
+        columns.append(np.concatenate([moved.q_rel, moved.p_rel]))
+    m = np.array(columns).T
+    omega = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    if not np.array_equal(m @ omega @ m.T, omega):
+        raise AssertionError("the frame switch is not symplectic")
+    sigma = np.diag([0.5 / alpha_a, 0.5 / alpha_b, 0.5 * alpha_a, 0.5 * alpha_b])
+    switched = m @ sigma @ m.T
+    i = moved.labels.index(FrameLabel.from_name(keep).index)
+    block = switched[np.ix_((i, i + 2), (i, i + 2))]
+    nu = math.sqrt(float(np.linalg.det(block)))
+    entropy = (nu + 0.5) * math.log(nu + 0.5)
+    if nu > 0.5:
+        entropy -= (nu - 0.5) * math.log(nu - 0.5)
+    return GaussianReduction(nu, entropy, 0.5 / nu)

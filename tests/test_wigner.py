@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qrf.classical import FRAME_A, FRAME_C
+from qrf.classical import FRAME_A, FRAME_B, FRAME_C
 from qrf.errors import InvalidDensityMatrix
 from qrf.experiments import FIGURE_PRESETS, emit_figure_data
 from qrf.grids import (
     MOMENTUM,
+    POSITION,
     Grid1D,
     gaussian_state,
     ho_eigenstate,
@@ -31,23 +33,26 @@ from qrf.wigner import (
     wigner_transform,
 )
 
-from oracles import gather_wigner_transform
+from oracles import gather_wigner_transform, strided_wigner_transform, switched_ground_reduction
 
 # negativity of the first excited eigenstate's Wigner function; quadrature
 # value, cross-checked against the closed contour integral 2 exp(-1/2) - 1
 F1_NEGATIVITY = 0.2130613194
 
 # entropy of the frame-switched equal-width product ground state (nats)
-SWITCHED_GROUND_ENTROPY = 0.5533032997
+SWITCHED_GROUND_ENTROPY = switched_ground_reduction(1.0, 1.0, FRAME_A, "B").entropy
+
+# (alpha_A, alpha_B), grid size and box of the exact Gaussian comparisons
+GAUSSIAN_CASES = (((1.0, 1.0), 128, 20.0), ((0.1, 1.0), 256, 60.0), ((0.4, 2.5), 256, 40.0))
 
 
-def switched_product(grid, level_a, level_b, alpha_a=1.0, alpha_b=1.0):
+def switched_product(grid, level_a, level_b, alpha_a=1.0, alpha_b=1.0, frame=FRAME_A):
     psi = product_state(
         ho_eigenstate(grid, "A", level_a, alpha=alpha_a),
         ho_eigenstate(grid, "B", level_b, alpha=alpha_b),
         frame=FRAME_C,
     )
-    return switch_frame(psi, FrameSwitch(FRAME_C, FRAME_A))
+    return switch_frame(psi, FrameSwitch(FRAME_C, frame))
 
 
 class TestClosedForms:
@@ -153,17 +158,108 @@ class TestDensityMatrix:
             DensityMatrix(matrix, grid64)
 
 
-@pytest.mark.parametrize("n", (64, 128, 256))
-def test_wigner_transform_matches_gather_form(n):
-    # bytes, not array_equal: -0.0 == 0.0, but the two print differently in a CSV
+def switched_reduced_matrices(n):
+    """Three seeded frame-A draws on (n, L = 24), switched to frame C, keeping A."""
     grid = Grid1D(n, 24.0)
     for seed in range(3):
         psi = random_wavefunction([("B", grid), ("C", grid)], np.random.default_rng(seed), FRAME_A)
-        rho = partial_trace(switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C)), "A")
+        yield partial_trace(switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C)), "A")
+
+
+@pytest.mark.parametrize("n", (64, 128, 256))
+def test_wigner_transform_matches_gather_form(n):
+    # the 0.3.1 forms, gathered and strided, agree byte for byte; the length-n2
+    # chord transform differs from them by rounding only (measured 6.0e-16)
+    for rho in switched_reduced_matrices(n):
         w = wigner_transform(rho)
-        ref = gather_wigner_transform(rho)
+        gathered = gather_wigner_transform(rho)
+        strided = strided_wigner_transform(rho)
+        scale = np.max(np.abs(strided.values))
         for name in ("x", "xi", "values"):
-            assert getattr(w, name).tobytes() == getattr(ref, name).tobytes()
+            assert getattr(strided, name).tobytes() == getattr(gathered, name).tobytes()
+        for ref in (gathered, strided):
+            # bytes, not array_equal: -0.0 == 0.0, but the two print differently in a CSV
+            assert w.x.tobytes() == ref.x.tobytes()
+            assert w.xi.tobytes() == ref.xi.tobytes()
+            assert np.max(np.abs(w.values - ref.values)) <= 1e-15 * scale
+
+
+def test_wigner_transform_memory_peak():
+    # the 0.3.1 doubled box peaked at 9.5 MiB here; the chord table alone, 1.9
+    rho = next(switched_reduced_matrices(128))
+    wigner_transform(rho)
+    tracemalloc.start()
+    try:
+        wigner_transform(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak
+
+
+def checked_partial_trace(psi, keep):
+    """The 0.3.1 ``partial_trace``: the same product, through the checked constructor."""
+    work = to_representation(psi, POSITION).normalized()
+    axis = work.axis(keep)
+    amp = work.amplitudes if axis == 0 else work.amplitudes.T
+    grid = work.grid(keep)
+    return DensityMatrix((amp @ amp.conj().T) * work.subsystems[1 - axis][1].dx * grid.dx, grid)
+
+
+class TestPartialTraceContract:
+    @pytest.mark.parametrize("n", (64, 128, 256))
+    def test_bytes_match_the_checked_constructor(self, n):
+        grid = Grid1D(n, 24.0)
+        for seed in range(3):
+            psi = random_wavefunction([("B", grid), ("C", grid)], np.random.default_rng(seed), FRAME_A)
+            out = switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C))
+            for keep in out.labels:
+                rho = partial_trace(out, keep)
+                assert rho.grid == grid
+                assert rho.matrix.tobytes() == checked_partial_trace(out, keep).matrix.tobytes()
+
+    def test_output_is_read_only(self, grid64, rng):
+        psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
+        for rho in (partial_trace(psi, "B"), density_matrix_from_pure(gaussian_state(grid64, "B"))):
+            with pytest.raises(ValueError):
+                rho.matrix[0, 0] = 0.0
+
+    def test_no_eigenvalue_check(self, grid64, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
+        rho = partial_trace(psi, "B")
+        density_matrix_from_pure(gaussian_state(grid64, "B"))
+        assert calls == []
+        DensityMatrix(rho.matrix, grid64)  # the public constructor still checks
+        assert calls == [1]
+
+    def test_purity_matches_the_trace_of_the_square(self, grid64, rng):
+        psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
+        for keep in ("B", "C"):
+            rho = partial_trace(psi, keep)
+            squared = float(np.real(np.trace(rho.matrix @ rho.matrix)))
+            assert abs(rho.purity() - squared) <= 1e-14
+
+
+@pytest.mark.parametrize(("alphas", "n", "length"), GAUSSIAN_CASES)
+@pytest.mark.parametrize("frame", [FRAME_A, FRAME_B], ids=["A", "B"])
+def test_switched_ground_state_matches_covariance_oracle(alphas, n, length, frame):
+    alpha_a, alpha_b = alphas
+    switched = switched_product(Grid1D(n, length), 0, 0, alpha_a, alpha_b, frame)
+    for keep in switched.labels:
+        exact = switched_ground_reduction(alpha_a, alpha_b, frame, keep)
+        assert abs(entanglement_entropy(switched, keep) - exact.entropy) <= 1e-12
+        assert abs(partial_trace(switched, keep).purity() - exact.purity) <= 1e-12
+    if frame == FRAME_A:
+        nu = switched_ground_reduction(alpha_a, alpha_b, frame, "B").nu
+        assert nu == pytest.approx(math.sqrt((alpha_a + alpha_b) / (4 * alpha_a)), rel=1e-15)
 
 
 class TestTransformedJoint:
