@@ -209,8 +209,10 @@ def spring_potential(springs) -> Potential:
         return sum(0.5 * k * (q[i] - q[j]) ** 2 for i, j, k in springs)
 
     def gradient(q):
+        if q.shape[0] == n:
+            return stiffness.dot(q)
         grad = np.zeros(q.shape)
-        grad[:n] = stiffness @ q[:n]
+        grad[:n] = stiffness.dot(q[:n])
         return grad
 
     return Potential(energy, gradient=gradient)
@@ -320,13 +322,3 @@ def lagrangian_momenta(velocities) -> np.ndarray:
     """
     v = np.asarray(velocities, dtype=float)
     return v - np.mean(v)
-
-
-def position_coordinate(i: int):
-    """Phase-space function q_i, convenient for bracket tables."""
-    return lambda q, p: q[i]
-
-
-def momentum_coordinate(i: int):
-    """Phase-space function p_i, convenient for bracket tables."""
-    return lambda q, p: p[i]

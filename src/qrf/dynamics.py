@@ -86,7 +86,7 @@ class Trajectory:
         self.frame = frame
         if self.q.shape != self.p.shape or self.q.shape[0] != self.times.shape[0]:
             raise ValueError("inconsistent trajectory shapes")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):  # NaN fails it
             raise ValueError("times must be strictly increasing")
         for arr in (self.times, self.q, self.p):
             arr.setflags(write=False)
@@ -154,9 +154,17 @@ def integrate_reduced(
     order=2 is the plain kick-drift-kick leapfrog; order=4 composes three
     leapfrog substeps with Yoshida weights.  Each substep evaluates the force
     once: its closing half kick and the next substep's opening one share it.
-    Free flow (V = 0) is exact for both.  Samples are stored every step from
-    t = 0 to t ~ t_final; a span of less than half a step gives the initial
-    sample alone.
+    Free flow (V = 0) is exact for both.
+
+    At a step boundary the two half kicks also share their product: both
+    substeps have the same size (dt, or w1 dt for the Yoshida sizes
+    w1, w0, w1) and the same force, so (h/2) f is one float array, computed
+    once and subtracted twice, and the result is exact to the bit.  The
+    inner Yoshida kicks differ in size and stay two subtractions, since one
+    merged kick would round differently.
+
+    Samples are stored every step from t = 0 to t ~ t_final; a span of less
+    than half a step gives the initial sample alone.
     """
     # written so that NaN fails every comparison; t_final / dt must stay finite
     if not (0 < dt < math.inf and 0 <= t_final / dt < math.inf):
@@ -174,18 +182,26 @@ def integrate_reduced(
         pinned[others] = q
         return potential.gradient(pinned)[others]
 
+    first = sizes[0]
+    edge = 0.5 * first  # the half kick on either side of a step boundary
+    # inside a step, between drifts: (closing half kick, opening half kick, next drift)
+    inner = tuple((0.5 * a, 0.5 * b, b) for a, b in zip(sizes, sizes[1:]))
     qs = np.empty((steps + 1, len(others)))
     ps = np.empty_like(qs)
     qs[0] = initial.q_rel
     ps[0] = initial.p_rel
     q, p = qs[0].copy(), ps[0].copy()
-    f = force(q)
+    kick = edge * force(q)
     for step in range(steps):
-        for h in sizes:
-            p -= (0.5 * h) * f
-            q += h * (drift @ p)
+        p -= kick
+        q += first * drift.dot(p)
+        for closing, opening, h in inner:
             f = force(q)
-            p -= (0.5 * h) * f
+            p -= closing * f
+            p -= opening * f
+            q += h * drift.dot(p)
+        kick = edge * force(q)
+        p -= kick
         qs[step + 1] = q
         ps[step + 1] = p
     times = np.arange(steps + 1) * dt

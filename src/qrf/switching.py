@@ -148,8 +148,8 @@ def dynamics_frame_commutation(
     switched, versus switched and then evolved under the new frame's
     Hamiltonian for the same springs and masses.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not t >= 0:  # NaN fails it
+        raise ValueError(f"t must be non-negative, got {t}")
     system = params.system()
     potential = params.potential()
     h_old = reduced_quantum_hamiltonian(sw.from_frame, potential, system, psi.subsystems)

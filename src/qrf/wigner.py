@@ -200,23 +200,6 @@ def _half_step(arr: np.ndarray, axis: int, adjoint: bool = False) -> np.ndarray:
     return out
 
 
-def refined_kernel(rho: DensityMatrix) -> np.ndarray:
-    """Density kernel rho(x, x') band-limited onto the doubled grid on both axes.
-
-    Equals R (rho / dx) R^dagger for the refinement matrix R: its four
-    parity blocks are rho, S rho, rho S^dagger and S rho S^dagger (over dx).
-    """
-    n = rho.grid.n
-    matrix = rho.matrix / rho.grid.dx
-    shifted = _half_step(matrix, 0)
-    kernel = np.empty((2 * n, 2 * n), dtype=complex)
-    kernel[0::2, 0::2] = matrix
-    kernel[0::2, 1::2] = _half_step(matrix, 1, adjoint=True)
-    kernel[1::2, 0::2] = shifted
-    kernel[1::2, 1::2] = _half_step(shifted, 1, adjoint=True)
-    return kernel
-
-
 def wigner_transform(rho: DensityMatrix) -> WignerGrid:
     """Discrete Wigner function of a density matrix.
 

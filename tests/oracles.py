@@ -7,21 +7,23 @@ they ship with the tests, not with the ``qrf`` package.  The convention is the f
 sqrt(cell volume) so that unitary operators are unitary matrices.
 
 Besides the per-axis operators, the module holds the explicit reduced
-Hamiltonian matrix and its ground energy and the band-limited refinement
-matrix behind the Wigner transform.  The frame change is defined here
-twice, and the strided gather of ``qrf.physical.momentum_substitution`` must
-match both byte for byte: the n^3 perspective-neutral embedding
-``constraint_surface_amplitude``, whose sum over frame j's axis is the frame-j
-reduction, and ``meshgrid_momentum_substitution``, the gather through int64
-index grids that the production code replaced.  The k-shifted
-``trivialized_reduction`` is built on the embedding, and
-``trivialization_family_check`` confirms its per-block dense algebra.  Two
-classical references ride along: the spring
-potential with its per-spring gradient loop, and the leapfrog that evaluates
-the force twice per Strang substep; the production integrator must match them
-bit for bit.  So do three phase-space references, which the production code
-must match byte for byte: ``random_wavefunction`` over an n^d meshgrid and
-the centered FFTs that allocate a fresh array per step.  The Wigner transform
+Hamiltonian matrix and its ground energy, and the band-limited refinement
+matrix behind the Wigner transform with the refined kernel it checks.  The
+frame change is defined here twice, and the strided gather of
+``qrf.physical.momentum_substitution`` must match both byte for byte: the
+n^3 perspective-neutral embedding ``constraint_surface_amplitude``, whose sum
+over frame j's axis is the frame-j reduction, and
+``meshgrid_momentum_substitution``, the gather through int64 index grids
+that the production code replaced.  The k-shifted ``trivialized_reduction``
+is built on the embedding, and ``trivialization_family_check`` confirms its
+per-block dense algebra.  Three classical references ride along, and the
+production code must match them bit for bit: the spring potential with its
+per-spring gradient loop, the earlier spring gradient that wrote K @ q into
+a zeroed array, and the leapfrog that evaluates the force twice per Strang
+substep; the coordinate functions q_i and p_i fill the bracket tables.  So
+do three phase-space references, which the production code must match byte
+for byte: ``random_wavefunction`` over an n^d meshgrid and the centered FFTs
+that allocate a fresh array per step.  The Wigner transform
 has two earlier forms, which agree with each other byte for byte and with the
 production transform to rounding: the full doubled-box chord table gathered
 through modulo index grids, and the same table read through one strided
@@ -52,7 +54,7 @@ from qrf.errors import QRFError
 from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, to_representation
 from qrf.observables import Observable
 from qrf.physical import GridHamiltonian, PhysicalState, reduced_labels
-from qrf.wigner import DensityMatrix, WignerGrid
+from qrf.wigner import DensityMatrix, WignerGrid, _half_step
 
 MAX_DENSE_DIM = 4096
 
@@ -225,8 +227,7 @@ def dense_total_momentum(subsystems) -> DenseOperator:
 def refine_matrix(grid: Grid1D) -> np.ndarray:
     """Band-limited interpolation of amplitudes onto the doubled grid.
 
-    Dense reference for the zero-padded spectral refinement of
-    :func:`qrf.wigner.refined_kernel`.
+    Dense reference for the spectral refinement of :func:`refined_kernel`.
     """
     n = grid.n
     fine = grid.refined()
@@ -241,6 +242,25 @@ def refine_matrix(grid: Grid1D) -> np.ndarray:
         fine.dp / math.sqrt(2 * math.pi)
     )
     return back @ pad
+
+
+def refined_kernel(rho: DensityMatrix) -> np.ndarray:
+    """Density kernel rho(x, x') band-limited onto the doubled grid on both axes.
+
+    Equals R (rho / dx) R^dagger for the refinement matrix R: its four
+    parity blocks are rho, S rho, rho S^dagger and S rho S^dagger (over dx),
+    with S the half-step shift of ``qrf.wigner._half_step``.  The Wigner
+    transform reads only the even-even and odd-odd blocks.
+    """
+    n = rho.grid.n
+    matrix = rho.matrix / rho.grid.dx
+    shifted = _half_step(matrix, 0)
+    kernel = np.empty((2 * n, 2 * n), dtype=complex)
+    kernel[0::2, 0::2] = matrix
+    kernel[0::2, 1::2] = _half_step(matrix, 1, adjoint=True)
+    kernel[1::2, 0::2] = shifted
+    kernel[1::2, 1::2] = _half_step(shifted, 1, adjoint=True)
+    return kernel
 
 
 def dense_hamiltonian(h: GridHamiltonian) -> DenseOperator:
@@ -464,6 +484,40 @@ def per_spring_potential(springs) -> Potential:
         return grad
 
     return Potential(energy, gradient=gradient)
+
+
+def padded_spring_potential(springs) -> Potential:
+    """Pairwise springs whose gradient writes K @ q[:n] into a zeroed array.
+
+    The form ``spring_potential`` used before it returned ``K @ q`` directly
+    when the springs span every particle; both must agree bit for bit.
+    """
+    springs = [(int(i), int(j), float(k)) for i, j, k in springs]
+    n = 1 + max(max(i, j) for i, j, _ in springs)
+    stiffness = np.zeros((n, n))
+    for i, j, k in springs:
+        stiffness[[i, j], [i, j]] += k
+        stiffness[[i, j], [j, i]] -= k
+
+    def energy(q):
+        return sum(0.5 * k * (q[i] - q[j]) ** 2 for i, j, k in springs)
+
+    def gradient(q):
+        grad = np.zeros(q.shape)
+        grad[:n] = stiffness @ q[:n]
+        return grad
+
+    return Potential(energy, gradient=gradient)
+
+
+def position_coordinate(i: int):
+    """Phase-space function q_i, for bracket tables."""
+    return lambda q, p: q[i]
+
+
+def momentum_coordinate(i: int):
+    """Phase-space function p_i, for bracket tables."""
+    return lambda q, p: p[i]
 
 
 def two_force_leapfrog(initial, potential, system, t_final, dt, order=2):

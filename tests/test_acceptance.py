@@ -17,8 +17,6 @@ from qrf.classical import (
     ReducedPhasePoint,
     classical_frame_switch,
     dirac_bracket,
-    momentum_coordinate,
-    position_coordinate,
 )
 from qrf.dynamics import (
     OscillatorParams,
@@ -60,7 +58,12 @@ from qrf.wigner import (
     wigner_transform,
 )
 
-from oracles import switched_ground_reduction, trivialization_family_check
+from oracles import (
+    momentum_coordinate,
+    position_coordinate,
+    switched_ground_reduction,
+    trivialization_family_check,
+)
 
 GRID = Grid1D(128, 20.0)
 # the covariance-matrix entropy of the switched state: 0.5533032997205...

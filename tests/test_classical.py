@@ -19,17 +19,20 @@ from qrf.classical import (
     embed_reduced,
     gauge_flow,
     lagrangian_momenta,
-    momentum_coordinate,
     pin_frame,
     poisson_bracket,
-    position_coordinate,
     project_reduced,
     spring_potential,
     total_momentum,
 )
 from qrf.errors import ConstraintViolation, SameFrame
 
-from oracles import per_spring_potential
+from oracles import (
+    momentum_coordinate,
+    padded_spring_potential,
+    per_spring_potential,
+    position_coordinate,
+)
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -316,6 +319,18 @@ class TestSpringGradient:
         expected = per_spring_potential([(1, 0, 1.3)]).gradient(q)
         assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
         assert grad[2] == 0.0
+
+    @pytest.mark.parametrize("extra", [0, 2], ids=["springs-span-all", "particles-beyond"])
+    def test_bit_identical_to_zero_padded_gradient(self, extra, rng):
+        # K @ q returned directly when the springs span every particle, and
+        # written into a zeroed array when some particles lie beyond them
+        pairs = [(2, 0), (2, 1), (0, 1), (3, 1), (1, 3)]
+        for _ in range(20):
+            springs = [(i, j, k) for (i, j), k in zip(pairs, rng.uniform(0.5, 3.0, len(pairs)))]
+            new, old = spring_potential(springs), padded_spring_potential(springs)
+            for _ in range(20):
+                q = rng.uniform(-2, 2, 4 + extra)
+                assert np.array_equal(new.gradient(q), old.gradient(q))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_spring_index_beyond_the_particles_raises(self, n):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from qrf.grids import Grid1D, POSITION, gaussian_state, random_wavefunction, to_representation, inner_product
 from qrf.observables import Observable
-from qrf.wigner import partial_trace, refined_kernel
+from qrf.wigner import partial_trace
 
 from oracles import (
     DenseOperator,
@@ -15,6 +15,7 @@ from oracles import (
     dense_total_momentum,
     fourier_matrix,
     refine_matrix,
+    refined_kernel,
 )
 
 

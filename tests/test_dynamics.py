@@ -7,6 +7,7 @@ from qrf.classical import (
     FRAME_C,
     FREE_POTENTIAL,
     ExtendedPhasePoint,
+    FrameLabel,
     ParticleSystem,
     Potential,
     ReducedPhasePoint,
@@ -26,7 +27,7 @@ from qrf.dynamics import (
 )
 from qrf.errors import InvalidStep
 
-from oracles import per_spring_potential, two_force_leapfrog
+from oracles import padded_spring_potential, per_spring_potential, two_force_leapfrog
 
 # the three-body system of the classical-ensemble benchmark: masses of A, B, C
 # and springs C--A, C--B
@@ -189,23 +190,38 @@ class TestForceReuse:
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize(
-        "frame, t_final, dt, springs",
-        [(FRAME_C, 2.0, 1e-3, True), (FRAME_A, 1.0, 1e-2, False), (FRAME_C, 4e-3, 1e-2, True)],
-        ids=["ensemble-frame-C", "nonlinear-frame-A", "under-half-step"],
+        "n, frames, t_final, dt, setup",
+        [
+            (3, [2], 2.0, 1e-3, "ensemble"),
+            (3, [0], 1.0, 1e-2, "nonlinear"),
+            (3, [2], 4e-3, 1e-2, "ensemble"),
+            (5, range(5), 1.0, 1e-2, "star"),
+            (9, range(9), 1.0, 1e-2, "star"),
+            (3, range(3), 1.0, 1e-2, "free"),
+        ],
+        ids=["ensemble-frame-C", "nonlinear-frame-A", "under-half-step", "star-N5", "star-N9", "free"],
     )
-    def test_bit_identical_to_two_force_leapfrog(self, frame, t_final, dt, springs, order, rng):
-        system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
-        rp = ReducedPhasePoint(frame, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        if springs:
+    def test_bit_identical_to_two_force_leapfrog(self, n, frames, t_final, dt, setup, order, rng):
+        # the star is the integrate kernel's system: unit masses, a unit spring
+        # from every particle to the last; it is integrated in every frame
+        if setup == "ensemble":
+            system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
             potential = spring_potential(ENSEMBLE_SPRINGS)
             reference = per_spring_potential(ENSEMBLE_SPRINGS)
+        elif setup == "star":
+            system = ParticleSystem(n)
+            star = [(i, n - 1, 1.0) for i in range(n - 1)]
+            potential, reference = spring_potential(star), padded_spring_potential(star)
         else:
-            potential = reference = _nonlinear_potential()
-        traj = integrate_reduced(rp, potential, system, t_final, dt, order=order)
-        q, p = two_force_leapfrog(rp, reference, system, t_final, dt, order=order)
-        assert len(traj) == len(q)
-        assert np.array_equal(traj.q, q)
-        assert np.array_equal(traj.p, p)
+            system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
+            potential = reference = _nonlinear_potential() if setup == "nonlinear" else FREE_POTENTIAL
+        for frame in frames:
+            rp = ReducedPhasePoint(FrameLabel(frame), rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
+            traj = integrate_reduced(rp, potential, system, t_final, dt, order=order)
+            q, p = two_force_leapfrog(rp, reference, system, t_final, dt, order=order)
+            assert len(traj) == len(q)
+            assert np.array_equal(traj.q, q)
+            assert np.array_equal(traj.p, p)
 
     @pytest.mark.parametrize("order, substeps", [(2, 1), (4, 3)])
     def test_one_gradient_call_per_substep(self, order, substeps):
@@ -298,6 +314,10 @@ class TestTrajectory:
     def test_time_ordering_enforced(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.0], np.zeros((2, 2)), np.zeros((2, 2)), FRAME_A)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory([0.0, np.nan], np.zeros((2, 2)), np.zeros((2, 2)), FRAME_A)
 
     def test_point_accessor(self):
         traj = Trajectory([0.0, 1.0], [[1, 2], [3, 4]], [[5, 6], [7, 8]], FRAME_A)

@@ -6,6 +6,8 @@ of ``qrf.grids``, and the caller's representation is restored by one helper,
 evaluated by one broadcasting path (``qrf.dynamics.reduced_energy``), never
 point by point.  No module of the package or of the tests imports a name it
 never uses; the package root is exempt, because its imports are re-exports.
+Every module-level function of the package has a caller inside it or is
+re-exported by the root: code that only the tests use lives in the tests.
 """
 
 import ast
@@ -161,3 +163,30 @@ def test_every_imported_name_is_used(path):
 def test_frame_letters_come_from_frame_labels():
     for name in ("LETTERS", "_LETTER_INDEX"):
         assert not hasattr(qrf.physical, name)
+
+
+def _referenced_names(tree):
+    """Every name a module reads, bare or as an attribute, and every name it re-exports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_package_function_has_a_caller():
+    # the package modules' own imports bind only names that they use (above),
+    # so an imported name counts as a reference; the root's are re-exports
+    trees = {path.name: _tree(path) for path in SOURCES}
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    orphans = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name not in referenced
+    ]
+    assert not orphans, f"package functions with no caller in the package: {orphans}"

@@ -246,6 +246,13 @@ class TestDynamicsCommutation:
         report = dynamics_frame_commutation(psi, params, 0.0, sw=FrameSwitch(FRAME_C, FRAME_A))
         assert report.fidelity == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("t", [np.nan, -0.5])
+    def test_rejects_nan_and_negative_time(self, grid16, rng, t):
+        # NaN would skip both evolutions and report a perfect fidelity
+        psi = random_wavefunction([("A", grid16), ("B", grid16)], rng, frame=FRAME_C)
+        with pytest.raises(ValueError, match="non-negative"):
+            dynamics_frame_commutation(psi, OscillatorParams(), t, sw=FrameSwitch(FRAME_C, FRAME_A))
+
     def test_short_evolution(self, grid128):
         params = OscillatorParams()
         psi = product_state(
