@@ -37,6 +37,13 @@ KERNEL is one of:
   ``n<size>-parity-shear`` and ``n<size>-compositional``.  A child runs one
   warm-up call per backend.  It fails when the backend gap 1 - F exceeds
   1e-8.
+* ``csv``: ``experiments._write_csv`` in milliseconds per file, for the
+  ``x,xi,w`` rows of a Wigner grid at ``points`` = 51, 101 and 201 per axis
+  (the fig9 keep-B marginal on its +-6 window; results ``wigner<points>``)
+  and for a 5-column trajectory of 20,001 rows, fig3's shape and values
+  (``trajectory20001``).  A child runs one warm-up write into a temporary
+  directory, then times three more.  It fails unless the file reads back
+  to the written doubles exactly.
 
 Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
 For every size and each of 11 repeats, each tree is timed in a fresh child
@@ -220,6 +227,39 @@ if gap > 1e-8:
 print(*times, qrf.__version__)
 """
 
+CSV_CHILD = """
+import math, sys, tempfile, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qrf
+from qrf.dynamics import OscillatorParams, analytic_oscillator_frame_a, analytic_oscillator_frame_c
+from qrf.experiments import _wigner_csv_columns, _write_csv
+from qrf.wigner import marginal_wigner, transformed_joint_wigner
+shape = sys.argv[2]
+if shape.startswith("wigner"):
+    x = np.linspace(-6.0, 6.0, int(shape[len("wigner"):]))
+    grid = marginal_wigner(transformed_joint_wigner(1, 1, 1.0, 1.0), "B", x, x)
+    columns, arrays = ["x", "xi", "w"], _wigner_csv_columns(grid)
+else:
+    params = OscillatorParams(m_c=1e8, k_a=1.0, k_b=100.0, phi_b=math.pi / 2)
+    times = np.arange(int(shape[len("trajectory"):])) * 1e-3
+    arrays = (times, *analytic_oscillator_frame_c(params, times), *analytic_oscillator_frame_a(params, times))
+    columns = ["t", "x_A", "x_B", "q_B", "q_C"]
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "data.csv"
+    _write_csv(path, columns, arrays)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        _write_csv(path, columns, arrays)
+        best = min(best, time.perf_counter() - start)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+if not np.array_equal(back, np.column_stack(arrays)):
+    sys.exit("the CSV does not read back to the written values")
+print(1e3 * best, qrf.__version__)
+"""
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -266,6 +306,12 @@ KERNELS = {
         lambda n: (n, STATE_BOX),
         {"length": STATE_BOX, "seed": 0, "switch": "A -> C"},
         series=("parity-shear", "compositional"),
+    ),
+    "csv": Kernel(
+        "_write_csv time", "ms per file", "", ("wigner51", "wigner101", "wigner201", "trajectory20001"),
+        CSV_CHILD, lambda shape: (shape,),
+        {"wigner": "fig9 keep-B marginal, x and xi on [-6, 6]",
+         "trajectory": "fig3: t, x_A, x_B, q_B, q_C at dt = 1e-3"},
     ),
 }
 

@@ -55,7 +55,19 @@ from .wigner import (
     wigner_of_state,
 )
 
-KINDS = ("classical-trajectory", "wigner-study", "invariant-suite")
+#: The parameter keys each kind reads; a config with any other key is
+#: rejected, so a misspelt key cannot be ignored and echoed into the manifest.
+ACCEPTED_KEYS = {
+    "classical-trajectory": frozenset(
+        ("name", "a0", "b0", "omega_a", "omega_b", "phi_a", "phi_b",
+         "m_a", "m_b", "m_c", "t_final", "dt")
+    ),
+    "wigner-study": frozenset(
+        ("name", "mode", "points", "alpha", "half_width",
+         "level_a", "level_b", "alpha_a", "alpha_b")
+    ),
+    "invariant-suite": frozenset(("grid_n", "grid_length")),
+}
 
 #: Most CSV rows a classical-trajectory run may write: 2**20, about 52 times
 #: the 20,001 of fig3 and fig4, five float64 columns of 8 MiB each.
@@ -72,8 +84,16 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind not in ACCEPTED_KEYS:
+            raise ConfigError(
+                f"unknown kind {self.kind!r}; expected one of {tuple(ACCEPTED_KEYS)}"
+            )
+        unknown = sorted(set(self.parameters) - ACCEPTED_KEYS[self.kind])
+        if unknown:
+            raise ConfigError(
+                f"{self.kind}: unknown key(s) {unknown}; "
+                f"accepted: {sorted(ACCEPTED_KEYS[self.kind])}"
+            )
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -211,16 +231,38 @@ def _write_csv(path: Path, columns, arrays) -> dict:
     ``%`` formats floats with the same code as ``f"{v:.17g}"``, so one row
     template applied to a chunk of rows gives the same bytes as formatting
     value by value.  Chunks bound the size of each formatted string.
+
+    A Wigner grid repeats most of its values (its x and xi columns are
+    repeated axes), so a chunk in which at most half the values are distinct
+    formats each distinct value once and fills a ``%s`` row template from
+    those strings.  Values are told apart by their int64 bit patterns, not
+    by float equality, so ``0.0`` and ``-0.0`` keep ``0`` and ``-0`` and a
+    NaN matches only its own bits.  Deduplicating the whole file at once
+    was rejected: it holds an index and a string for every value of the
+    file, and a ``figures`` benchmark run peaked at 60 MiB with it against
+    44 MiB chunk by chunk.
     """
     rows = len(arrays[0])
     if len(arrays) != len(columns) or any(len(a) != rows for a in arrays):
         raise ValueError("need one array per CSV column, all of equal length")
     template = ",".join(["%.17g"] * len(columns)) + "\n"
+    text_template = ",".join(["%s"] * len(columns)) + "\n"
     with _create(path) as handle:
         handle.write(",".join(columns) + "\n")
         for start in range(0, rows, _CSV_CHUNK_ROWS):
             chunk = np.column_stack([a[start : start + _CSV_CHUNK_ROWS] for a in arrays])
-            handle.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
+            # as float64, so that the key is one int64 bit pattern per value
+            bits = chunk.astype(np.float64, copy=False).view(np.int64).ravel()
+            # a plain sort counts the distinct values at a third of the cost
+            # of np.unique's inverse, which only a repetitive chunk needs
+            ordered = np.sort(bits)
+            if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
+                handle.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
+                continue
+            keys, inverse = np.unique(bits, return_inverse=True)
+            texts = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).split("\n")
+            values = np.array(texts, dtype=object)[inverse]
+            handle.write((text_template * len(chunk)) % tuple(values.tolist()))
     return {"name": path.name, "rows": rows, "columns": list(columns)}
 
 

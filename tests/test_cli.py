@@ -93,6 +93,21 @@ class TestFigurePresets:
         names = {entry["name"] for entry in manifest["files"]}
         assert names == {"fig8_marginal_B.csv", "fig8_marginal_C.csv"}
 
+    def test_presets_use_accepted_keys(self, tmp_path):
+        # ExperimentConfig rejects a key its kind does not read, "name" included
+        for name in FIGURE_PRESETS:
+            figure_config(name, tmp_path)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5", "fig6"])
+    def test_every_value_is_its_own_17_digit_form(self, tmp_path, name):
+        # %.17g round-trips a double, so re-formatting each parsed value must
+        # give back the file's bytes, whatever the writer's implementation
+        for entry in emit_figure_data(name, tmp_path)["files"]:
+            data = (tmp_path / entry["name"]).read_bytes()
+            header, *rows = data.decode().splitlines()
+            lines = [header] + [",".join(f"{float(v):.17g}" for v in row.split(",")) for row in rows]
+            assert ("\n".join(lines) + "\n").encode() == data
+
 
 def per_value_csv(columns, rows) -> bytes:
     """Reference: the value-by-value formatting the row template replaces."""
@@ -102,6 +117,8 @@ def per_value_csv(columns, rows) -> bytes:
 
 class TestCsvWriter:
     SPECIAL = (0.0, -0.0, 5e-324, 1e300, -1.5, math.pi)
+    # a small pool, so most chunks repeat their values; two NaN bit patterns
+    POOL = SPECIAL + (math.nan, -math.nan, math.inf, -math.inf)
 
     @pytest.mark.parametrize("rows", [1, 1024, 1025, 2049])
     def test_bytes_match_per_value_formatting(self, tmp_path, rows):
@@ -115,6 +132,27 @@ class TestCsvWriter:
         entry = _write_csv(tmp_path / "t.csv", columns, tuple(data))
         assert (tmp_path / "t.csv").read_bytes() == per_value_csv(columns, zip(*data))
         assert entry == {"name": "t.csv", "rows": rows, "columns": columns}
+
+    @pytest.mark.parametrize("rows", [1, 1024, 1025, 2049])
+    def test_repeated_values_match_per_value_formatting(self, tmp_path, rows):
+        # pool values everywhere but the second chunk, whose values are all
+        # distinct: a file of 1025 rows or more writes chunks of both kinds
+        rng = np.random.default_rng(rows)
+        columns = ["a", "b", "c", "d", "e", "f"]
+        data = rng.choice(np.array(self.POOL), (len(columns), rows))
+        second = data[:, 1024:2048]
+        second[...] = rng.standard_normal(second.shape)
+        chunks = [data[:, start : start + 1024] for start in range(0, rows, 1024)]
+        if rows >= 1024:
+            assert 2 * np.unique(chunks[0].view(np.int64)).size <= chunks[0].size
+        if rows > 1024:
+            assert np.unique(chunks[1].view(np.int64)).size == chunks[1].size
+        _write_csv(tmp_path / "t.csv", columns, tuple(data))
+        assert (tmp_path / "t.csv").read_bytes() == per_value_csv(columns, zip(*data))
+
+    def test_signed_zeros_in_one_chunk(self, tmp_path):
+        _write_csv(tmp_path / "t.csv", ["a", "b"], (np.zeros(4), -np.zeros(4)))
+        assert (tmp_path / "t.csv").read_text() == "a,b\n" + "0,-0\n" * 4
 
     @pytest.mark.parametrize(
         "arrays", [(np.zeros(1025), np.zeros(1024)), (np.zeros(3),)], ids=["lengths", "count"]
@@ -238,6 +276,10 @@ class TestCommandLine:
             "kind = invariant-suite\ngrid_n = true\n",
             "kind = invariant-suite\nseed = -2\n",
             "kind = invariant-suite\nseed = true\n",
+            # a key no runner reads, such as a misspelt dt
+            trajectory_config(dtt="0.5"),
+            "kind = wigner-study\nmode = eigenstates\nhalfwidth = 3\n",
+            "kind = invariant-suite\ngrid = 64\n",
         ],
         ids=[
             "t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative",
@@ -245,7 +287,8 @@ class TestCommandLine:
             "m_a-nan", "grid_length-nan", "grid_length-inf", "half_width-nan",
             "rows-overflow", "rows-over-cap", "level_a-fraction", "level_b-bool",
             "points-fraction", "points-bool", "grid_n-fraction", "grid_n-bool",
-            "seed-negative", "seed-bool",
+            "seed-negative", "seed-bool", "dtt-unknown", "halfwidth-unknown",
+            "grid-unknown",
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):
