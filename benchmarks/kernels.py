@@ -17,11 +17,12 @@ KERNEL is one of:
   keep-C marginals together and halves the time.  It fails when either
   marginal's integral is off 1 by more than 1e-4.  Each tree runs its own
   default quadrature rule.
-* ``integrate``: ``integrate_reduced`` in microseconds per order-2 step at
-  N = 3, 5 and 9 particles, unit masses, a unit spring from every particle to
-  the last, frame = the last, from a seeded point.  A child runs one short
-  warm-up call, then times a 2000-step integration.  It fails when the
-  relative energy drift of the trajectory exceeds 1e-5.
+* ``integrate``: ``integrate_reduced`` in microseconds per step at N = 3, 5
+  and 9 particles, unit masses, a unit spring from every particle to the
+  last, frame = the last, from a seeded point: the results hold
+  ``N<size>-order2`` and ``N<size>-order4``.  A child runs one short warm-up
+  call per order, then times a 2000-step integration.  It fails when the
+  relative energy drift of either trajectory exceeds 1e-5.
 * ``prepare``: ``random_wavefunction`` on two axes in milliseconds per call
   at n = 64, 128 and 256, box L = 24 (the ``switch-small`` box).  A child
   runs one warm-up draw, then times fresh seeded draws.  It fails on a norm
@@ -137,17 +138,20 @@ rng = np.random.default_rng(n)
 system = ParticleSystem(n)
 potential = spring_potential([(i, n - 1, 1.0) for i in range(n - 1)])
 point = ReducedPhasePoint(FrameLabel(n - 1), rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
-integrate_reduced(point, potential, system, 10 * dt, dt)
-best = float("inf")
-for _ in range(3):
-    start = time.perf_counter()
-    trajectory = integrate_reduced(point, potential, system, steps * dt, dt)
-    best = min(best, time.perf_counter() - start)
-energies = trajectory.energies(potential, system)
-drift = float(np.max(np.abs(energies - energies[0])) / abs(energies[0]))
-if drift > 1e-5:
-    sys.exit(f"relative energy drift {drift:.2e}")
-print(1e6 * best / steps, qrf.__version__)
+times = []
+for order in (2, 4):
+    integrate_reduced(point, potential, system, 10 * dt, dt, order=order)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        trajectory = integrate_reduced(point, potential, system, steps * dt, dt, order=order)
+        best = min(best, time.perf_counter() - start)
+    energies = trajectory.energies(potential, system)
+    drift = float(np.max(np.abs(energies - energies[0])) / abs(energies[0]))
+    if drift > 1e-5:
+        sys.exit(f"order {order}: relative energy drift {drift:.2e}")
+    times.append(1e6 * best / steps)
+print(*times, qrf.__version__)
 """
 
 PREPARE_CHILD = """
@@ -287,8 +291,9 @@ KERNELS = {
     "integrate": Kernel(
         "integrate_reduced step time", "us per step", "N", (3, 5, 9), INTEGRATE_CHILD,
         lambda n: (n, INTEGRATE_STEPS, INTEGRATE_DT),
-        {"steps_per_call": INTEGRATE_STEPS, "dt": INTEGRATE_DT, "order": 2,
+        {"steps_per_call": INTEGRATE_STEPS, "dt": INTEGRATE_DT,
          "springs": "k = 1 from every particle to the last", "masses": 1.0, "frame": "last"},
+        series=("order2", "order4"),
     ),
     "prepare": Kernel(
         "random_wavefunction time", "ms per call", "n", STATE_SIZES, PREPARE_CHILD,

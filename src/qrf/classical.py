@@ -165,11 +165,17 @@ class Potential:
     written as ``q[i] - q[j]`` it does so unchanged.  The optional analytic
     gradient takes one ``(N,)`` position list; without it the gradient falls
     back to central finite differences with step ``GRADIENT_FD_STEP``.
+
+    A quadratic potential may give its symmetric ``(n, n)`` stiffness K
+    instead of a gradient, V = q K q / 2 over the first n particles: the
+    gradient is then K @ q there and zero beyond, and ``integrate_reduced``
+    steps it through its exact one-step propagator.
     """
 
-    def __init__(self, energy, gradient=None):
+    def __init__(self, energy, gradient=None, stiffness=None):
         self._energy = energy
         self._gradient = gradient
+        self.stiffness = stiffness
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
@@ -180,6 +186,13 @@ class Potential:
 
     def gradient(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
+        if self.stiffness is not None:
+            n = len(self.stiffness)
+            if q.shape[0] == n:
+                return self.stiffness.dot(q)
+            grad = np.zeros(q.shape)
+            grad[:n] = self.stiffness.dot(q[:n])
+            return grad
         if self._gradient is not None:
             return np.asarray(self._gradient(q), dtype=float)
         return _central_difference(self._energy, q, GRADIENT_FD_STEP)
@@ -195,7 +208,7 @@ FREE_POTENTIAL = Potential(lambda q: np.zeros(q.shape[1:]), gradient=lambda q: n
 
 
 def spring_potential(springs) -> Potential:
-    """Pairwise springs V = sum over (i, j, k) of k/2 (q_i - q_j)^2, gradient K @ q."""
+    """Pairwise springs V = sum over (i, j, k) of k/2 (q_i - q_j)^2, stiffness K."""
     springs = [(int(i), int(j), float(k)) for i, j, k in springs]
     if any(min(i, j) < 0 for i, j, _ in springs):
         raise ValueError(f"spring indices must be non-negative, got {springs}")
@@ -204,18 +217,12 @@ def spring_potential(springs) -> Potential:
     for i, j, k in springs:
         stiffness[[i, j], [i, j]] += k
         stiffness[[i, j], [j, i]] -= k
+    stiffness.setflags(write=False)
 
     def energy(q):
         return sum(0.5 * k * (q[i] - q[j]) ** 2 for i, j, k in springs)
 
-    def gradient(q):
-        if q.shape[0] == n:
-            return stiffness.dot(q)
-        grad = np.zeros(q.shape)
-        grad[:n] = stiffness.dot(q[:n])
-        return grad
-
-    return Potential(energy, gradient=gradient)
+    return Potential(energy, stiffness=stiffness)
 
 
 def total_momentum(point: ExtendedPhasePoint) -> float:

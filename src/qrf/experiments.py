@@ -62,11 +62,14 @@ ACCEPTED_KEYS = {
         ("name", "a0", "b0", "omega_a", "omega_b", "phi_a", "phi_b",
          "m_a", "m_b", "m_c", "t_final", "dt")
     ),
-    "wigner-study": frozenset(
-        ("name", "mode", "points", "alpha", "half_width",
-         "level_a", "level_b", "alpha_a", "alpha_b")
-    ),
+    "wigner-study": frozenset(("name", "mode", "points")),
     "invariant-suite": frozenset(("grid_n", "grid_length")),
+}
+#: The keys a wigner-study run reads besides the kind's own, by mode: a key
+#: of the other mode is rejected like a misspelt one.
+WIGNER_MODE_KEYS = {
+    "eigenstates": frozenset(("alpha", "half_width")),
+    "marginals": frozenset(("level_a", "level_b", "alpha_a", "alpha_b")),
 }
 
 #: Most CSV rows a classical-trajectory run may write: 2**20, about 52 times
@@ -88,11 +91,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown kind {self.kind!r}; expected one of {tuple(ACCEPTED_KEYS)}"
             )
-        unknown = sorted(set(self.parameters) - ACCEPTED_KEYS[self.kind])
+        accepted = ACCEPTED_KEYS[self.kind]
+        if self.kind == "wigner-study":
+            mode = _require(self.parameters, "mode", self.kind)
+            if mode not in WIGNER_MODE_KEYS:
+                raise ConfigError(f"unknown wigner-study mode {mode!r}")
+            accepted = accepted | WIGNER_MODE_KEYS[mode]
+        unknown = sorted(set(self.parameters) - accepted)
         if unknown:
             raise ConfigError(
-                f"{self.kind}: unknown key(s) {unknown}; "
-                f"accepted: {sorted(ACCEPTED_KEYS[self.kind])}"
+                f"{self.kind}: unknown key(s) {unknown}; accepted: {sorted(accepted)}"
             )
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -392,7 +400,7 @@ def _wigner_csv_columns(grid):
 
 def _run_wigner_study(config: ExperimentConfig):
     p = config.parameters
-    mode = str(_require(p, "mode", config.kind))
+    mode = p["mode"]  # one of WIGNER_MODE_KEYS, checked by ExperimentConfig
     name = str(p.get("name", "wigner"))
     points = _integer(p, "points", config.kind, default=101)
     if points < 2:
@@ -418,7 +426,7 @@ def _run_wigner_study(config: ExperimentConfig):
                     _wigner_csv_columns(grid),
                 )
             )
-    elif mode == "marginals":
+    else:  # marginals
         level_a = _integer(p, "level_a", config.kind)
         level_b = _integer(p, "level_b", config.kind)
         with _config_values(config.kind):
@@ -450,8 +458,6 @@ def _run_wigner_study(config: ExperimentConfig):
                     _wigner_csv_columns(grid),
                 )
             )
-    else:
-        raise ConfigError(f"unknown wigner-study mode {mode!r}")
     return files, None
 
 

@@ -20,7 +20,10 @@ per-block dense algebra.  Three classical references ride along, and the
 production code must match them bit for bit: the spring potential with its
 per-spring gradient loop, the earlier spring gradient that wrote K @ q into
 a zeroed array, and the leapfrog that evaluates the force twice per Strang
-substep; the coordinate functions q_i and p_i fill the bracket tables.  So
+substep; the coordinate functions q_i and p_i fill the bracket tables.  The
+spring propagator is held to that leapfrog and to a long-double one to
+rounding, and ``without_stiffness`` sends a spring potential through the
+loop that the leapfrog checks bit for bit.  So
 do three phase-space references, which the production code must match byte
 for byte: ``random_wavefunction`` over an n^d meshgrid and the centered FFTs
 that allocate a fresh array per step.  The Wigner transform
@@ -557,6 +560,40 @@ def two_force_leapfrog(initial, potential, system, t_final, dt, order=2):
         qs[step + 1] = q
         ps[step + 1] = p
     return qs, ps
+
+
+def without_stiffness(potential) -> Potential:
+    """The same energy and gradient with no stiffness, so ``integrate_reduced`` loops."""
+    return Potential(potential, gradient=potential.gradient)
+
+
+def longdouble_leapfrog(initial, potential, system, t_final, dt, order=2):
+    """Sampled (q, p) of the kick-drift-kick leapfrog in long double, shape (steps + 1, 2 (N - 1)).
+
+    The force is -K q from ``potential.stiffness``.  K, the drift matrix and
+    the substep sizes are the float64 values ``integrate_reduced`` uses,
+    widened exactly, so the two differ only by the rounding of float64
+    arithmetic.  Worth it only where long double has a 64-bit mantissa.
+    """
+    steps = int(round(t_final / dt))
+    others = list(initial.labels)
+    stiffness = np.zeros((system.n, system.n))
+    size = len(potential.stiffness)
+    stiffness[:size, :size] = potential.stiffness
+    force = -np.asarray(stiffness[np.ix_(others, others)], dtype=np.longdouble)
+    drift = np.asarray(2.0 * kinetic_matrix(system, initial.frame), dtype=np.longdouble)
+    sizes = (dt,) if order == 2 else (_YOSHIDA_W1 * dt, _YOSHIDA_W0 * dt, _YOSHIDA_W1 * dt)
+    q = np.asarray(initial.q_rel, dtype=np.longdouble)
+    p = np.asarray(initial.p_rel, dtype=np.longdouble)
+    out = np.empty((steps + 1, 2 * len(others)), dtype=np.longdouble)
+    out[0] = np.concatenate([q, p])
+    for step in range(steps):
+        for h in map(np.longdouble, sizes):
+            p = p + (h / 2) * (force @ q)
+            q = q + h * (drift @ p)
+            p = p + (h / 2) * (force @ q)
+        out[step + 1] = np.concatenate([q, p])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,12 @@ class TestCommandLine:
             trajectory_config(dtt="0.5"),
             "kind = wigner-study\nmode = eigenstates\nhalfwidth = 3\n",
             "kind = invariant-suite\ngrid = 64\n",
+            # a key of the other wigner-study mode: each mode reads only its own
+            MARGINALS.format(level_a="0", level_b="0") + "alpha = 2\n",
+            MARGINALS.format(level_a="0", level_b="0") + "half_width = 3\n",
+            "kind = wigner-study\nmode = eigenstates\nlevel_a = 1\n",
+            "kind = wigner-study\nmode = eigenstates\nalpha_a = 1\n",
+            "kind = wigner-study\nmode = spectra\n",
         ],
         ids=[
             "t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative",
@@ -288,7 +294,8 @@ class TestCommandLine:
             "rows-overflow", "rows-over-cap", "level_a-fraction", "level_b-bool",
             "points-fraction", "points-bool", "grid_n-fraction", "grid_n-bool",
             "seed-negative", "seed-bool", "dtt-unknown", "halfwidth-unknown",
-            "grid-unknown",
+            "grid-unknown", "marginals-alpha", "marginals-half_width",
+            "eigenstates-level_a", "eigenstates-alpha_a", "mode-unknown",
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):

@@ -27,7 +27,13 @@ from qrf.dynamics import (
 )
 from qrf.errors import InvalidStep
 
-from oracles import padded_spring_potential, per_spring_potential, two_force_leapfrog
+from oracles import (
+    longdouble_leapfrog,
+    padded_spring_potential,
+    per_spring_potential,
+    two_force_leapfrog,
+    without_stiffness,
+)
 
 # the three-body system of the classical-ensemble benchmark: masses of A, B, C
 # and springs C--A, C--B
@@ -127,11 +133,14 @@ class TestIntegrateReduced:
 
     @pytest.mark.parametrize("t_final", [0.0, 0.004])
     def test_less_than_half_a_step_is_the_initial_point(self, t_final):
+        # the loop and the spring propagator, at both orders
         rp = ReducedPhasePoint(FRAME_A, [0.3, -0.2], [0.5, 0.1])
-        traj = integrate_reduced(rp, FREE_POTENTIAL, ParticleSystem(3), t_final, 0.01)
-        assert traj.times.tolist() == [0.0]
-        assert traj.q.tolist() == [[0.3, -0.2]]
-        assert traj.p.tolist() == [[0.5, 0.1]]
+        for potential in (FREE_POTENTIAL, spring_potential(ENSEMBLE_SPRINGS)):
+            for order in (2, 4):
+                traj = integrate_reduced(rp, potential, ParticleSystem(3), t_final, 0.01, order=order)
+                assert traj.times.tolist() == [0.0]
+                assert traj.q.tolist() == [[0.3, -0.2]]
+                assert traj.p.tolist() == [[0.5, 0.1]]
 
     def test_matches_analytic_oscillators(self):
         params = OscillatorParams(k_a=1.0, k_b=4.0, a0=1.0, b0=1.0, phi_b=np.pi / 2)
@@ -186,7 +195,11 @@ def _nonlinear_potential():
 
 
 class TestForceReuse:
-    """One force evaluation per substep reproduces the two-force leapfrog bit for bit."""
+    """One force evaluation per substep reproduces the two-force leapfrog bit for bit.
+
+    Spring potentials take the propagator, so the spring cases run through
+    ``without_stiffness``: the loop, with the stiffness gradient K @ q.
+    """
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize(
@@ -206,12 +219,13 @@ class TestForceReuse:
         # from every particle to the last; it is integrated in every frame
         if setup == "ensemble":
             system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
-            potential = spring_potential(ENSEMBLE_SPRINGS)
+            potential = without_stiffness(spring_potential(ENSEMBLE_SPRINGS))
             reference = per_spring_potential(ENSEMBLE_SPRINGS)
         elif setup == "star":
             system = ParticleSystem(n)
             star = [(i, n - 1, 1.0) for i in range(n - 1)]
-            potential, reference = spring_potential(star), padded_spring_potential(star)
+            potential = without_stiffness(spring_potential(star))
+            reference = padded_spring_potential(star)
         else:
             system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
             potential = reference = _nonlinear_potential() if setup == "nonlinear" else FREE_POTENTIAL
@@ -225,13 +239,78 @@ class TestForceReuse:
 
     @pytest.mark.parametrize("order, substeps", [(2, 1), (4, 3)])
     def test_one_gradient_call_per_substep(self, order, substeps):
-        potential = spring_potential(ENSEMBLE_SPRINGS)
+        potential = per_spring_potential(ENSEMBLE_SPRINGS)
         gradient, calls = potential.gradient, []
         potential.gradient = lambda q: calls.append(None) or gradient(q)
         rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
         steps = 50
         integrate_reduced(rp, potential, ParticleSystem(3), steps * 1e-2, 1e-2, order=order)
         assert len(calls) == 1 + substeps * steps
+
+
+class TestSpringPropagator:
+    """A spring potential is integrated through the powers of its one-step matrix."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="no 64-bit long double mantissa")
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_long_double_leapfrog(self, order, rng):
+        system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
+        potential = spring_potential(ENSEMBLE_SPRINGS)
+        rp = ReducedPhasePoint(FRAME_C, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+        traj = integrate_reduced(rp, potential, system, 20.0, 1e-3, order=order)
+        reference = longdouble_leapfrog(rp, potential, system, 20.0, 1e-3, order=order)
+        assert len(traj) == 20001
+        assert np.max(np.abs(np.hstack([traj.q, traj.p]) - reference)) <= 5e-14
+
+    # order 4 in one frame: the order only changes the one-step matrix, the
+    # frame only which rows and columns of K and of the drift are taken
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_matches_two_force_leapfrog(self, n, order, rng):
+        # the integrate kernel's star: unit masses, a unit spring from every particle to the last
+        system, star = ParticleSystem(n), [(i, n - 1, 1.0) for i in range(n - 1)]
+        potential, reference = spring_potential(star), padded_spring_potential(star)
+        for frame in range(n) if order == 2 else [0]:
+            rp = ReducedPhasePoint(FrameLabel(frame), rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
+            traj = integrate_reduced(rp, potential, system, 10.0, 1e-3, order=order)
+            q, p = two_force_leapfrog(rp, reference, system, 10.0, 1e-3, order=order)
+            assert len(traj) == len(q) == 10001
+            assert max(np.max(np.abs(traj.q - q)), np.max(np.abs(traj.p - p))) <= 2e-13
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    def test_every_block_length_matches_the_loop(self, steps, rng):
+        # partial last blocks and exact multiples of the block length
+        system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
+        potential = spring_potential(ENSEMBLE_SPRINGS)
+        rp = ReducedPhasePoint(FRAME_C, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+        traj = integrate_reduced(rp, potential, system, steps * 1e-2, 1e-2)
+        loop = integrate_reduced(rp, without_stiffness(potential), system, steps * 1e-2, 1e-2)
+        assert len(traj) == steps + 1
+        assert_allclose(traj.q, loop.q, rtol=0, atol=1e-14)
+        assert_allclose(traj.p, loop.p, rtol=0, atol=1e-14)
+
+    def test_never_calls_the_gradient(self):
+        potential = spring_potential(ENSEMBLE_SPRINGS)
+        potential.gradient = lambda q: pytest.fail("the propagator evaluated a force")
+        rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
+        integrate_reduced(rp, potential, ParticleSystem(3), 1.0, 1e-2, order=4)
+
+    def test_particles_without_springs_move_freely(self, rng):
+        # springs on particles 0 and 1 of four: 2 and 3 move freely
+        system = ParticleSystem(4)
+        potential = spring_potential([(0, 1, 2.0)])
+        rp = ReducedPhasePoint(FrameLabel(3), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        traj = integrate_reduced(rp, potential, system, 1.0, 1e-2)
+        loop = integrate_reduced(rp, without_stiffness(potential), system, 1.0, 1e-2)
+        assert_allclose(np.hstack([traj.q, traj.p]), np.hstack([loop.q, loop.p]), rtol=0, atol=1e-14)
+
+    def test_spring_beyond_the_system_rejected(self):
+        # the propagator must not drop the spring by slicing K to the system
+        potential = spring_potential([(2, 0, 1.0), (4, 1, 2.0)])
+        rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
+        message = r"springs \[\(1, 4\)\] name particle 4, but the system has 3 particles"
+        with pytest.raises(ValueError, match=message):
+            integrate_reduced(rp, potential, ParticleSystem(3), 1.0, 1e-2)
 
 
 class TestAnalyticOscillators:
