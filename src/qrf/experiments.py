@@ -1,11 +1,12 @@
 """Declarative experiment runner: figure reproductions and invariant suites.
 
 Configs are flat ``key = value`` text files (``#`` comments, ``.`` decimal
-separator).  Every run writes CSV data files plus ``manifest.json`` recording
-the config echo, library version, per-file SHA-256 checksums, row counts and
-column headers, the seed, and the wall time.  Data files are byte-identical
-for identical config + seed + version; the wall-time entry is the one
-manifest field outside that contract.
+separator).  ``SCHEMA`` gives each key its type, default and bound, and runs
+read their values through ``ExperimentConfig.values``.  Every run writes CSV
+data files plus ``manifest.json`` recording the config echo, library version,
+per-file SHA-256 checksums, row counts and column headers, the seed, and the
+wall time.  Data files are byte-identical for identical config + seed +
+version; the wall-time entry is the one manifest field outside that contract.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,26 +58,77 @@ from .wigner import (
     wigner_of_state,
 )
 
-#: The parameter keys each kind reads; a config with any other key is
-#: rejected, so a misspelt key cannot be ignored and echoed into the manifest.
-ACCEPTED_KEYS = {
-    "classical-trajectory": frozenset(
-        ("name", "a0", "b0", "omega_a", "omega_b", "phi_a", "phi_b",
-         "m_a", "m_b", "m_c", "t_final", "dt")
-    ),
-    "wigner-study": frozenset(("name", "mode", "points")),
-    "invariant-suite": frozenset(("grid_n", "grid_length")),
+
+class Key(NamedTuple):
+    """A config key's rule: its type, its default (None: required), a bound to exceed."""
+
+    type: type | dict  # float, int, str, or for the mode: each mode's own keys
+    default: object = None
+    above: float | None = None
+
+
+#: Every key a config may set, by kind, besides the ExperimentConfig fields
+#: ``kind``, ``seed`` and ``output_dir``.  Any other key is rejected, so that a
+#: misspelt key cannot be ignored and echoed into the manifest.  ``float`` takes
+#: a finite int or float and ``int`` an int, neither a boolean; ``str`` names
+#: output files and takes a plain file stem.  A bound is set only where no
+#: domain constructor checks the value.
+SCHEMA: dict[str, dict[str, Key]] = {
+    "classical-trajectory": {
+        "name": Key(str, "trajectory"),
+        "a0": Key(float), "b0": Key(float), "omega_a": Key(float), "omega_b": Key(float),
+        "phi_a": Key(float, 0.0), "phi_b": Key(float, 0.0),
+        "m_a": Key(float, 1.0), "m_b": Key(float, 1.0), "m_c": Key(float, 1e6),
+        "t_final": Key(float, 20.0, above=0.0), "dt": Key(float, 1e-3, above=0.0),
+    },
+    "wigner-study": {
+        "name": Key(str, "wigner"),
+        "points": Key(int, 101, above=1),
+        "mode": Key({
+            "eigenstates": {"alpha": Key(float, 1.0), "half_width": Key(float, 5.0, above=0.0)},
+            "marginals": {
+                "level_a": Key(int), "level_b": Key(int),
+                "alpha_a": Key(float), "alpha_b": Key(float),
+            },
+        }),
+    },
+    "invariant-suite": {"grid_n": Key(int, 64), "grid_length": Key(float, 20.0)},
 }
-#: The keys a wigner-study run reads besides the kind's own, by mode: a key
-#: of the other mode is rejected like a misspelt one.
-WIGNER_MODE_KEYS = {
-    "eigenstates": frozenset(("alpha", "half_width")),
-    "marginals": frozenset(("level_a", "level_b", "alpha_a", "alpha_b")),
-}
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a plain file stem"}
 
 #: Most CSV rows a classical-trajectory run may write: 2**20, about 52 times
 #: the 20,001 of fig3 and fig4, five float64 columns of 8 MiB each.
 MAX_TRAJECTORY_ROWS = 2**20
+
+
+def _schema(kind: str, parameters: dict) -> dict[str, Key]:
+    """The keys a config may set, its mode's included; any other key is an error."""
+    if kind not in SCHEMA:
+        raise ConfigError(f"unknown kind {kind!r}; expected one of {tuple(SCHEMA)}")
+    schema = SCHEMA[kind]
+    if "mode" in schema:
+        modes = schema["mode"].type
+        mode = parameters.get("mode")
+        if mode not in modes:
+            raise ConfigError(f"{kind} mode must be one of {tuple(modes)}, got {mode!r}")
+        schema = {**schema, **modes[mode]}
+    unknown = sorted(set(parameters) - set(schema))
+    if unknown:
+        raise ConfigError(f"{kind}: unknown key(s) {unknown}; accepted: {sorted(schema)}")
+    return schema
+
+
+def _typed(rule: Key, value):
+    """The value as its rule's type, or None if it breaks the rule."""
+    if rule.type is str:
+        value = str(value)
+        return None if value in ("", ".", "..") or any(c in value for c in "/\\\0") else value
+    numbers = (int, float) if rule.type is float else int
+    if isinstance(value, bool) or not isinstance(value, numbers):
+        return None
+    if rule.type is float and not abs(value) <= sys.float_info.max:  # NaN fails it
+        return None
+    return rule.type(value) if rule.above is None or value > rule.above else None
 
 
 @dataclass(frozen=True)
@@ -87,24 +141,25 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ACCEPTED_KEYS:
-            raise ConfigError(
-                f"unknown kind {self.kind!r}; expected one of {tuple(ACCEPTED_KEYS)}"
-            )
-        accepted = ACCEPTED_KEYS[self.kind]
-        if self.kind == "wigner-study":
-            mode = _require(self.parameters, "mode", self.kind)
-            if mode not in WIGNER_MODE_KEYS:
-                raise ConfigError(f"unknown wigner-study mode {mode!r}")
-            accepted = accepted | WIGNER_MODE_KEYS[mode]
-        unknown = sorted(set(self.parameters) - accepted)
-        if unknown:
-            raise ConfigError(
-                f"{self.kind}: unknown key(s) {unknown}; accepted: {sorted(accepted)}"
-            )
+        _schema(self.kind, self.parameters)
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+
+    def values(self) -> dict:
+        """Each schema key's checked, typed value, defaults filled in; runs read these."""
+        values = {}
+        for key, rule in _schema(self.kind, self.parameters).items():
+            value = self.parameters.get(key, rule.default)
+            if value is None:
+                raise ConfigError(f"{self.kind} requires parameter {key!r}")
+            values[key] = value if isinstance(rule.type, dict) else _typed(rule, value)
+            if values[key] is None:
+                bound = "" if rule.above is None else f" greater than {rule.above}"
+                raise ConfigError(
+                    f"{self.kind}: {key} must be {_TYPE_NAMES[rule.type]}{bound}, got {value!r}"
+                )
+        return values
 
 
 def parse_config_text(text: str) -> dict:
@@ -126,17 +181,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def _coerce(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text.lower() == "true" if text.lower() in ("true", "false") else text
 
 
 def load_config(path) -> ExperimentConfig:
@@ -156,48 +206,26 @@ def load_config(path) -> ExperimentConfig:
 # Figure presets
 # ---------------------------------------------------------------------------
 
-_PI_HALF = math.pi / 2.0
+_TRAJECTORY = {
+    "kind": "classical-trajectory", "b0": 1.0, "phi_a": 0.0, "phi_b": math.pi / 2.0,
+    "t_final": 20.0, "dt": 1e-3, "m_c": 1e8,
+}
+_MARGINALS = {"kind": "wigner-study", "mode": "marginals", "alpha_b": 1.0, "points": 101}
 
 FIGURE_PRESETS: dict[str, dict] = {
     # classical two-oscillator trajectories in both frames
-    "fig3": {
-        "kind": "classical-trajectory",
-        "a0": 1.0, "b0": 1.0, "omega_a": 1.0, "omega_b": 10.0,
-        "phi_a": 0.0, "phi_b": _PI_HALF,
-        "t_final": 20.0, "dt": 1e-3, "m_c": 1e8,
-    },
-    "fig4": {
-        "kind": "classical-trajectory",
-        "a0": 0.3, "b0": 1.0, "omega_a": 10.0, "omega_b": 1.0,
-        "phi_a": 0.0, "phi_b": _PI_HALF,
-        "t_final": 20.0, "dt": 1e-3, "m_c": 1e8,
-    },
+    "fig3": {**_TRAJECTORY, "a0": 1.0, "omega_a": 1.0, "omega_b": 10.0},
+    "fig4": {**_TRAJECTORY, "a0": 0.3, "omega_a": 10.0, "omega_b": 1.0},
     # eigenstate Wigner functions
     "fig5": {
         "kind": "wigner-study", "mode": "eigenstates", "alpha": 1.0,
         "points": 121, "half_width": 5.0,
     },
     # marginals of the frame-switched product states
-    "fig6": {
-        "kind": "wigner-study", "mode": "marginals",
-        "level_a": 0, "level_b": 0, "alpha_a": 0.1, "alpha_b": 1.0,
-        "points": 101,
-    },
-    "fig7": {
-        "kind": "wigner-study", "mode": "marginals",
-        "level_a": 0, "level_b": 1, "alpha_a": 1.0, "alpha_b": 1.0,
-        "points": 101,
-    },
-    "fig8": {
-        "kind": "wigner-study", "mode": "marginals",
-        "level_a": 1, "level_b": 0, "alpha_a": 1.0, "alpha_b": 1.0,
-        "points": 101,
-    },
-    "fig9": {
-        "kind": "wigner-study", "mode": "marginals",
-        "level_a": 1, "level_b": 1, "alpha_a": 1.0, "alpha_b": 1.0,
-        "points": 101,
-    },
+    "fig6": {**_MARGINALS, "level_a": 0, "level_b": 0, "alpha_a": 0.1},
+    "fig7": {**_MARGINALS, "level_a": 0, "level_b": 1, "alpha_a": 1.0},
+    "fig8": {**_MARGINALS, "level_a": 1, "level_b": 0, "alpha_a": 1.0},
+    "fig9": {**_MARGINALS, "level_a": 1, "level_b": 1, "alpha_a": 1.0},
 }
 
 
@@ -224,10 +252,14 @@ def _create(path: Path):
     """Open an output file, creating its directory on first use.
 
     The directory is made only once a run has data to write, so a config
-    rejected before that leaves nothing behind.
+    rejected before that leaves nothing behind.  A path that cannot be made,
+    such as one through an existing file, is a ConfigError.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 _CSV_CHUNK_ROWS = 1024
@@ -302,27 +334,13 @@ def _finalize(config: ExperimentConfig, declared_files, started: float, extra=No
     return manifest
 
 
-def _require(parameters: dict, key: str, kind_name: str):
-    if key not in parameters:
-        raise ConfigError(f"{kind_name} requires parameter {key!r}")
-    return parameters[key]
-
-
-def _integer(p: dict, key: str, kind_name: str, default=None) -> int:
-    """An int-valued key, required without a default; fractions and bools are rejected."""
-    value = _require(p, key, kind_name) if default is None else p.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{kind_name}: {key} must be an integer, got {value!r}")
-    return value
-
-
 @contextmanager
-def _config_values(kind_name: str):
-    """Report a ValueError raised while building run objects as a ConfigError."""
+def _config_values(context: str):
+    """Report a ValueError or ArithmeticError raised on a config's values as a ConfigError."""
     try:
         yield
-    except ValueError as exc:
-        raise ConfigError(f"{kind_name}: {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +356,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     when an internal invariant gate trips.
     """
     started = time.monotonic()
-    if config.kind == "classical-trajectory":
-        files, extra = _run_classical_trajectory(config)
-    elif config.kind == "wigner-study":
-        files, extra = _run_wigner_study(config)
-    else:
-        files, extra = _run_invariant_suite(config)
+    runner = {
+        "classical-trajectory": _run_classical_trajectory,
+        "wigner-study": _run_wigner_study,
+        "invariant-suite": _run_invariant_suite,
+    }[config.kind]
+    files, extra = runner(config, config.values())
     manifest = _finalize(config, files, started, extra)
     if config.kind == "invariant-suite" and not extra["all_passed"]:
         raise NumericalFailure(
@@ -353,36 +371,23 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return manifest
 
 
-def _run_classical_trajectory(config: ExperimentConfig):
-    p = config.parameters
-    name = str(p.get("name", "trajectory"))
+def _run_classical_trajectory(config: ExperimentConfig, v: dict):
     with _config_values(config.kind):
         params = OscillatorParams(
-            m_a=float(p.get("m_a", 1.0)),
-            m_b=float(p.get("m_b", 1.0)),
-            m_c=float(p.get("m_c", 1e6)),
-            k_a=float(_require(p, "omega_a", config.kind)) ** 2 * float(p.get("m_a", 1.0)),
-            k_b=float(_require(p, "omega_b", config.kind)) ** 2 * float(p.get("m_b", 1.0)),
-            a0=float(_require(p, "a0", config.kind)),
-            b0=float(_require(p, "b0", config.kind)),
-            phi_a=float(p.get("phi_a", 0.0)),
-            phi_b=float(p.get("phi_b", 0.0)),
+            m_a=v["m_a"], m_b=v["m_b"], m_c=v["m_c"],
+            k_a=v["omega_a"] ** 2 * v["m_a"], k_b=v["omega_b"] ** 2 * v["m_b"],
+            a0=v["a0"], b0=v["b0"], phi_a=v["phi_a"], phi_b=v["phi_b"],
         )
-        t_final = float(p.get("t_final", 20.0))
-        dt = float(p.get("dt", 1e-3))
-    # written so that NaN fails both comparisons
-    if not (0 < t_final < math.inf and 0 < dt < math.inf):
-        raise ConfigError(f"t_final and dt must be positive and finite, got {t_final} and {dt}")
-    steps = t_final / dt  # inf once the ratio overflows
+    steps = v["t_final"] / v["dt"]  # inf once the ratio overflows
     if not (steps + 1 <= MAX_TRAJECTORY_ROWS):
         raise ConfigError(
             f"t_final / dt = {steps:.3g} asks for more than {MAX_TRAJECTORY_ROWS} rows"
         )
-    times = np.arange(int(round(steps)) + 1) * dt
+    times = np.arange(int(round(steps)) + 1) * v["dt"]
     x_a, x_b = analytic_oscillator_frame_c(params, times)
     q_b, q_c = analytic_oscillator_frame_a(params, times)
     entry = _write_csv(
-        config.output_dir / f"{name}.csv",
+        config.output_dir / f"{v['name']}.csv",
         ["t", "x_A", "x_B", "q_B", "q_C"],
         (times, x_a, x_b, q_b, q_c),
     )
@@ -398,21 +403,13 @@ def _wigner_csv_columns(grid):
     )
 
 
-def _run_wigner_study(config: ExperimentConfig):
-    p = config.parameters
-    mode = p["mode"]  # one of WIGNER_MODE_KEYS, checked by ExperimentConfig
-    name = str(p.get("name", "wigner"))
-    points = _integer(p, "points", config.kind, default=101)
-    if points < 2:
-        raise ConfigError(f"points must be at least 2, got {points}")
+def _run_wigner_study(config: ExperimentConfig, v: dict):
+    name, points = v["name"], v["points"]
     files = []
-    if mode == "eigenstates":
+    if v["mode"] == "eigenstates":
+        alpha = v["alpha"]
         with _config_values(config.kind):
-            alpha = float(p.get("alpha", 1.0))
-            half_width = float(p.get("half_width", 5.0))
-            if not (0 < half_width < math.inf):  # NaN fails it
-                raise ValueError(f"half_width must be positive and finite, got {half_width}")
-            x = np.linspace(-half_width, half_width, points)
+            x = np.linspace(-v["half_width"], v["half_width"], points)
             grids = [closed_form_eigenstate_wigner(level, alpha, x, x * alpha) for level in (0, 1)]
         for grid, tag in zip(grids, ("ground", "excited")):
             if not (abs(grid.integral() - 1.0) <= 1e-4):  # NaN fails it
@@ -427,12 +424,9 @@ def _run_wigner_study(config: ExperimentConfig):
                 )
             )
     else:  # marginals
-        level_a = _integer(p, "level_a", config.kind)
-        level_b = _integer(p, "level_b", config.kind)
+        alpha_a, alpha_b = v["alpha_a"], v["alpha_b"]
         with _config_values(config.kind):
-            alpha_a = float(_require(p, "alpha_a", config.kind))
-            alpha_b = float(_require(p, "alpha_b", config.kind))
-            joint = transformed_joint_wigner(level_a, level_b, alpha_a, alpha_b)
+            joint = transformed_joint_wigner(v["level_a"], v["level_b"], alpha_a, alpha_b)
         sigma = 1.0 / math.sqrt(min(alpha_a, alpha_b))
         sigma_p = math.sqrt(max(alpha_a, alpha_b))
         x = np.linspace(-6.0 * sigma, 6.0 * sigma, points)
@@ -461,12 +455,24 @@ def _run_wigner_study(config: ExperimentConfig):
     return files, None
 
 
-def _run_invariant_suite(config: ExperimentConfig):
+def _run_invariant_suite(config: ExperimentConfig, v: dict):
     """Quick seeded pass over the library's cross-cutting invariants."""
-    rng = np.random.default_rng(config.seed)
-    grid_n = _integer(config.parameters, "grid_n", config.kind, default=64)
     with _config_values(config.kind):
-        grid = Grid1D(grid_n, float(config.parameters.get("grid_length", 20.0)))
+        grid = Grid1D(v["grid_n"], v["grid_length"])
+    with _config_values(f"{config.kind} on {grid}"):  # e.g. a cell too large to square
+        results = _invariant_checks(grid, np.random.default_rng(config.seed))
+    all_passed = all(entry["passed"] for entry in results.values())
+    report = {"results": results, "all_passed": all_passed, "seed": config.seed}
+    path = config.output_dir / "suite_report.json"
+    with _create(path) as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    entry = {"name": path.name, "rows": len(results), "columns": ["property", "value", "tolerance", "passed"]}
+    return [entry], {"results": results, "all_passed": all_passed}
+
+
+def _invariant_checks(grid: Grid1D, rng: np.random.Generator) -> dict:
+    """Each invariant's value, tolerance and verdict, by name."""
     subsystems = [("B", grid), ("C", grid)]
     results: dict[str, dict] = {}
 
@@ -574,12 +580,4 @@ def _run_invariant_suite(config: ExperimentConfig):
                 gap = float(np.max(np.abs(chained - images[target].amplitudes)))
                 composition_gap = max(composition_gap, gap)
     record("switch_composition", composition_gap, 0.0)
-
-    all_passed = all(entry["passed"] for entry in results.values())
-    report = {"results": results, "all_passed": all_passed, "seed": config.seed}
-    path = config.output_dir / "suite_report.json"
-    with _create(path) as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    entry = {"name": path.name, "rows": len(results), "columns": ["property", "value", "tolerance", "passed"]}
-    return [entry], {"results": results, "all_passed": all_passed}
+    return results

@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrf import experiments
 from qrf.cli import main
@@ -10,6 +14,7 @@ from qrf.errors import ConfigError, UnknownFigure
 from qrf.experiments import (
     ExperimentConfig,
     FIGURE_PRESETS,
+    _schema,
     _wigner_csv_columns,
     _write_csv,
     emit_figure_data,
@@ -286,6 +291,16 @@ class TestCommandLine:
             "kind = wigner-study\nmode = eigenstates\nlevel_a = 1\n",
             "kind = wigner-study\nmode = eigenstates\nalpha_a = 1\n",
             "kind = wigner-study\nmode = spectra\n",
+            # a float key takes no boolean, as an integer key takes none
+            trajectory_config(a0="true"),
+            trajectory_config(t_final="true"),
+            MARGINALS.replace("alpha_a = 1", "alpha_a = true").format(level_a="0", level_b="0"),
+            "kind = invariant-suite\ngrid_length = true\n",
+            # name is the stem of the output files, not a path
+            trajectory_config(name="sub/x"),
+            trajectory_config(name=".."),
+            # omega_a ** 2 overflows the float range
+            trajectory_config(omega_a="1e300"),
         ],
         ids=[
             "t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative",
@@ -296,6 +311,8 @@ class TestCommandLine:
             "seed-negative", "seed-bool", "dtt-unknown", "halfwidth-unknown",
             "grid-unknown", "marginals-alpha", "marginals-half_width",
             "eigenstates-level_a", "eigenstates-alpha_a", "mode-unknown",
+            "a0-bool", "t_final-bool", "alpha_a-bool", "grid_length-bool",
+            "name-slash", "name-dotdot", "omega_a-overflow",
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):
@@ -305,6 +322,24 @@ class TestCommandLine:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qrf: ")
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["figure", "run"])
+    def test_output_path_through_a_file_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        if command == "figure":
+            argv = ["figure", "fig5", "--out", str(blocker)]
+        else:
+            path = tmp_path / "study.cfg"
+            path.write_text(
+                "kind = wigner-study\nmode = eigenstates\npoints = 41\n"
+                f"output_dir = {blocker / 'out'}\n"
+            )
+            argv = ["run", str(path)]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qrf: ") and str(blocker) in lines[0]
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize("error", [1e-9, math.nan], ids=["offset", "nan"])
     def test_unconverged_marginal_exits_3(self, tmp_path, capsys, monkeypatch, error):
@@ -346,3 +381,69 @@ class TestCommandLine:
         )
         assert main(["run", str(config_path)]) == 0
         assert (tmp_path / "wigner_ground.csv").exists()
+
+
+# Small valid configs the fuzzer edits: every run they lead to writes few rows
+# and points, so that the fuzzer's 200 runs take a few seconds.
+FUZZ_BASES = (
+    {
+        "kind": "classical-trajectory",
+        "a0": 1, "b0": 1, "omega_a": 1, "omega_b": 1, "t_final": 1, "dt": 0.1,
+    },
+    {"kind": "wigner-study", "mode": "eigenstates", "points": 5},
+    {
+        "kind": "wigner-study", "mode": "marginals",
+        "level_a": 0, "level_b": 1, "alpha_a": 1, "alpha_b": 1, "points": 5,
+    },
+    {"kind": "invariant-suite", "grid_n": 16},
+)
+# keys no kind takes: misspelt, or foreign to a kind or a mode
+FUZZ_STRAY_KEYS = ("dtt", "halfwidth", "grid", "Name", "alpha", "level_a", "t_final", "grid_n")
+# by key type: valid, out-of-range, non-finite, boolean and string values, and
+# None for a key left out; 1e300 and 1e-300 also overflow t_final / dt
+FUZZ_VALUES = {
+    float: (None, 0.5, 2.5, 0, -1, 1e300, 1e-300, "nan", "inf", "-inf", "true", "x"),
+    int: (None, 0, 1, 3, 16, -1, 2.5, "nan", "true", "x"),
+    str: (None, "x", "sub/x", "..", "a\\b", 7, "false"),
+    dict: (None, "eigenstates", "marginals", "spectra", 1, "true"),
+}
+
+
+def fuzz_keys(config: dict) -> dict:
+    """Each key the config's kind and mode take, with the pool of its values."""
+    keys = _schema(config["kind"], {k: v for k, v in config.items() if k != "kind"})
+    pools = {
+        key: FUZZ_VALUES[dict if isinstance(rule.type, dict) else rule.type]
+        for key, rule in keys.items()
+    }
+    return pools | {"seed": FUZZ_VALUES[int]}
+
+
+@st.composite
+def fuzz_configs(draw):
+    config = dict(draw(st.sampled_from(FUZZ_BASES)))
+    pools = fuzz_keys(config)
+    edited = draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=2, unique=True))
+    for key in edited:
+        config[key] = draw(st.sampled_from(pools[key]))
+    if draw(st.integers(0, 3)) == 0:
+        config[draw(st.sampled_from(FUZZ_STRAY_KEYS))] = draw(st.sampled_from(FUZZ_VALUES[float]))
+    return "".join(f"{k} = {v}\n" for k, v in config.items() if v is not None)
+
+
+@settings(
+    max_examples=200, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(body=fuzz_configs())
+def test_fuzzed_config_exits_0_2_or_3(tmp_path, capsys, body):
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    (run / "fuzz.cfg").write_text(body + f"output_dir = {run / 'out'}\n")
+    capsys.readouterr()
+    code = main(["run", str(run / "fuzz.cfg")])
+    assert code in (0, 2, 3), body
+    if code:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qrf: "), (body, lines)
+    if code == 2:
+        assert not (run / "out").exists(), body
