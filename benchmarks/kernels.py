@@ -45,6 +45,15 @@ KERNEL is one of:
   (``trajectory20001``).  A child runs one warm-up write into a temporary
   directory, then times three more.  It fails unless the file reads back
   to the written doubles exactly.
+* ``classical-switch``: the classical frame switch C -> A in microseconds per
+  call, on seeded points: one ``classical_frame_switch`` call (``point``,
+  timed over 1000 calls), and a whole trajectory of 378 or 20,001 points
+  (``points378``, ``points20001``; 20,001 is fig3's row count).  A tree with
+  ``qrf.classical.frame_map`` switches the trajectory's ``(2, K)`` arrays in
+  one call; a tree without it runs the loop a caller had to write there, one
+  ``classical_frame_switch`` per point, stacked back into arrays.  A child
+  runs one warm-up call.  It fails unless the output equals the closed form
+  q' = (q_B - q_A, -q_A), p' = (p_B, -(p_A + p_B)).
 
 Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
 For every size and each of 11 repeats, each tree is timed in a fresh child
@@ -264,6 +273,44 @@ if not np.array_equal(back, np.column_stack(arrays)):
 print(1e3 * best, qrf.__version__)
 """
 
+CLASSICAL_SWITCH_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qrf
+from qrf import classical
+from qrf.classical import FRAME_A, FRAME_C, ReducedPhasePoint, classical_frame_switch
+shape = sys.argv[2]
+rng = np.random.default_rng(0)
+if shape == "point":
+    rp = ReducedPhasePoint(FRAME_C, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+    q, p, calls = rp.q_rel[:, None], rp.p_rel[:, None], 1000
+    def switch():
+        out = classical_frame_switch(rp, FRAME_A)
+        return out.q_rel[:, None], out.p_rel[:, None]
+else:
+    q, p = rng.uniform(-1, 1, (2, 2, int(shape[len("points"):])))
+    calls = 1
+    if hasattr(classical, "frame_map"):
+        def switch():
+            return classical.frame_map(q, p, FRAME_C, FRAME_A)
+    else:
+        def switch():
+            points = [ReducedPhasePoint(FRAME_C, q[:, k], p[:, k]) for k in range(q.shape[1])]
+            outs = [classical_frame_switch(point, FRAME_A) for point in points]
+            return np.array([o.q_rel for o in outs]).T, np.array([o.p_rel for o in outs]).T
+switch()
+best = float("inf")
+for _ in range(3):
+    start = time.perf_counter()
+    for _ in range(calls):
+        out_q, out_p = switch()
+    best = min(best, (time.perf_counter() - start) / calls)
+if not (np.array_equal(out_q, [q[1] - q[0], -q[0]]) and np.array_equal(out_p, [p[1], -(p[0] + p[1])])):
+    sys.exit("the switched points differ from the closed form")
+print(1e6 * best, qrf.__version__)
+"""
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -317,6 +364,13 @@ KERNELS = {
         CSV_CHILD, lambda shape: (shape,),
         {"wigner": "fig9 keep-B marginal, x and xi on [-6, 6]",
          "trajectory": "fig3: t, x_A, x_B, q_B, q_C at dt = 1e-3"},
+    ),
+    "classical-switch": Kernel(
+        "classical frame switch time", "us per call", "", ("point", "points378", "points20001"),
+        CLASSICAL_SWITCH_CHILD, lambda shape: (shape,),
+        {"switch": "C -> A", "seed": 0, "coordinates": "uniform on [-1, 1]",
+         "point": "one classical_frame_switch call, timed over 1000 calls",
+         "trajectory": "frame_map on (2, K) arrays where the tree has it, else a per-point loop"},
     ),
 }
 

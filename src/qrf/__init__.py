@@ -15,6 +15,7 @@ from .classical import (
     classical_frame_switch,
     dirac_bracket,
     embed_reduced,
+    frame_map,
     gauge_flow,
     lagrangian_momenta,
     pin_frame,

@@ -5,8 +5,9 @@ a line.  Total momentum P = sum_i p_i generates rigid translations and is
 constrained to vanish; fixing the residual freedom by pinning one particle to
 the origin (q_frame = 0) yields a reduced phase space holding the positions and
 momenta of the remaining particles *relative to the frame particle*.  Moving
-between two such reductions is a translation along the gauge flow, implemented
-here as embed -> flow -> project.
+between two such reductions is a translation along the gauge flow, built here
+as embed -> flow -> project.  ``frame_map`` is that switch for every caller,
+on plain arrays; embed/flow/project is its construction and test reference.
 
 Units are dimensionless naturals with hbar = 1 and unit masses by default.
 """
@@ -248,6 +249,18 @@ def pin_frame(values, frame: FrameLabel, fill=0.0) -> np.ndarray:
     return out
 
 
+def frame_map(q_rel, p_rel, old: FrameLabel, new: FrameLabel):
+    """Frame-``old`` relative coordinates seen from particle ``new``: (N - 1, ...) arrays.
+
+    Embed -> flow -> project without objects or checks, bit for bit (stacks: N <= 8).
+    Linear, entries 0 and +-1: ``frame_map(eye, eye, old, new)`` gives its blocks.
+    """
+    q = pin_frame(q_rel, old)
+    p = pin_frame(p_rel, old, -np.sum(p_rel, axis=0))
+    keep = [i for i in range(len(q)) if i != new.index]
+    return q[keep] - q[new.index], p[keep]
+
+
 def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
     """Place a reduced point on the constraint surface with its frame at the origin.
 
@@ -278,18 +291,12 @@ def project_reduced(point: ExtendedPhasePoint, frame: FrameLabel) -> ReducedPhas
 
 
 def classical_frame_switch(rp: ReducedPhasePoint, new_frame: FrameLabel) -> ReducedPhasePoint:
-    """Re-describe a reduced point from the perspective of another particle.
-
-    Embeds into the constraint surface, flows by s = -q_new until the new
-    frame particle sits at the origin, and projects onto its reduction.
-    """
+    """Re-describe a reduced point from the perspective of another particle."""
     if new_frame == rp.frame:
         raise SameFrame(f"already in frame {rp.frame.name}")
     if new_frame.index >= rp.n:
         raise ValueError(f"frame index {new_frame.index} out of range for n={rp.n}")
-    extended = embed_reduced(rp)
-    shifted = gauge_flow(extended, -extended.q[new_frame.index])
-    return project_reduced(shifted, new_frame)
+    return ReducedPhasePoint(new_frame, *frame_map(rp.q_rel, rp.p_rel, rp.frame, new_frame))
 
 
 def _fd_gradients(f, point: ExtendedPhasePoint):

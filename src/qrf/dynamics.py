@@ -27,11 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import (
+    FRAME_A,
+    FRAME_C,
     FrameLabel,
     ParticleSystem,
     Potential,
     ReducedPhasePoint,
     ExtendedPhasePoint,
+    frame_map,
     pin_frame,
     spring_potential,
     total_momentum,
@@ -298,9 +301,9 @@ def analytic_oscillator_frame_c(params: OscillatorParams, t):
 
 
 def analytic_oscillator_frame_a(params: OscillatorParams, t):
-    """The same motion seen from particle A: q_b = x_b - x_a, q_c = -x_a."""
-    x_a, x_b = analytic_oscillator_frame_c(params, t)
-    return x_b - x_a, -x_a
+    """The C -> A frame map of the positions, which no momentum enters: (x_b - x_a, 0 - x_a)."""
+    q_rel = np.array(analytic_oscillator_frame_c(params, t))
+    return tuple(frame_map(q_rel, np.zeros(2), FRAME_C, FRAME_A)[0])
 
 
 def acceleration_identity_check(

@@ -25,13 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .classical import (
-    FRAME_A,
-    FRAME_C,
-    FrameLabel,
-    ReducedPhasePoint,
-    classical_frame_switch,
-)
+from .classical import FRAME_A, FRAME_C, FrameLabel, ReducedPhasePoint, frame_map
 from .dynamics import (
     OscillatorParams,
     analytic_oscillator_frame_a,
@@ -60,19 +54,29 @@ from .wigner import (
 
 
 class Key(NamedTuple):
-    """A config key's rule: its type, its default (None: required), a bound to exceed."""
+    """A config key's rule: its type, its default (None: required), a bound to exceed, a cap."""
 
     type: type | dict  # float, int, str, or for the mode: each mode's own keys
     default: object = None
     above: float | None = None
+    at_most: float | None = None
+
+
+#: Most CSV rows a classical-trajectory run may write: 2**20, about 52 times
+#: the 20,001 of fig3 and fig4, five float64 columns of 8 MiB each.
+MAX_TRAJECTORY_ROWS = 2**20
+
+#: Most points per axis of a suite grid or a Wigner study, so that neither
+#: its n^2 grid nor its CSV holds more than MAX_TRAJECTORY_ROWS values.
+MAX_AXIS_POINTS = 2**10
 
 
 #: Every key a config may set, by kind, besides the ExperimentConfig fields
 #: ``kind``, ``seed`` and ``output_dir``.  Any other key is rejected, so that a
 #: misspelt key cannot be ignored and echoed into the manifest.  ``float`` takes
 #: a finite int or float and ``int`` an int, neither a boolean; ``str`` names
-#: output files and takes a plain file stem.  A bound is set only where no
-#: domain constructor checks the value.
+#: output files and takes a plain file stem.  A lower bound is set only where
+#: no domain constructor checks the value; a cap bounds the memory a run asks for.
 SCHEMA: dict[str, dict[str, Key]] = {
     "classical-trajectory": {
         "name": Key(str, "trajectory"),
@@ -83,7 +87,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
     "wigner-study": {
         "name": Key(str, "wigner"),
-        "points": Key(int, 101, above=1),
+        "points": Key(int, 101, above=1, at_most=MAX_AXIS_POINTS),
         "mode": Key({
             "eigenstates": {"alpha": Key(float, 1.0), "half_width": Key(float, 5.0, above=0.0)},
             "marginals": {
@@ -92,13 +96,11 @@ SCHEMA: dict[str, dict[str, Key]] = {
             },
         }),
     },
-    "invariant-suite": {"grid_n": Key(int, 64), "grid_length": Key(float, 20.0)},
+    "invariant-suite": {
+        "grid_n": Key(int, 64, at_most=MAX_AXIS_POINTS), "grid_length": Key(float, 20.0),
+    },
 }
 _TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a plain file stem"}
-
-#: Most CSV rows a classical-trajectory run may write: 2**20, about 52 times
-#: the 20,001 of fig3 and fig4, five float64 columns of 8 MiB each.
-MAX_TRAJECTORY_ROWS = 2**20
 
 
 def _schema(kind: str, parameters: dict) -> dict[str, Key]:
@@ -128,7 +130,9 @@ def _typed(rule: Key, value):
         return None
     if rule.type is float and not abs(value) <= sys.float_info.max:  # NaN fails it
         return None
-    return rule.type(value) if rule.above is None or value > rule.above else None
+    if rule.above is not None and not value > rule.above:
+        return None
+    return rule.type(value) if rule.at_most is None or value <= rule.at_most else None
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,7 @@ class ExperimentConfig:
             values[key] = value if isinstance(rule.type, dict) else _typed(rule, value)
             if values[key] is None:
                 bound = "" if rule.above is None else f" greater than {rule.above}"
+                bound += "" if rule.at_most is None else f" and at most {rule.at_most}"
                 raise ConfigError(
                     f"{self.kind}: {key} must be {_TYPE_NAMES[rule.type]}{bound}, got {value!r}"
                 )
@@ -336,9 +341,14 @@ def _finalize(config: ExperimentConfig, declared_files, started: float, extra=No
 
 @contextmanager
 def _config_values(context: str):
-    """Report a ValueError or ArithmeticError raised on a config's values as a ConfigError."""
+    """Report a ValueError or ArithmeticError raised on a config's values as a ConfigError.
+
+    Floating-point overflow, invalid operations and division by zero raise
+    inside, so that they end here as one diagnostic line, not as warnings.
+    """
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -537,16 +547,10 @@ def _invariant_checks(grid: Grid1D, rng: np.random.Generator) -> dict:
     marginal = wig.position_marginal()[::2][: grid.n]
     record("wigner_position_marginal", float(np.max(np.abs(marginal - density))), 1e-6)
 
-    # classical switch round trip on random points
-    worst = 0.0
-    for _ in range(200):
-        rp = ReducedPhasePoint(FRAME_A, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        back = classical_frame_switch(classical_frame_switch(rp, FRAME_C), FRAME_A)
-        worst = max(
-            worst,
-            float(np.max(np.abs(back.q_rel - rp.q_rel))),
-            float(np.max(np.abs(back.p_rel - rp.p_rel))),
-        )
+    # classical switch round trip on 200 random points, drawn point by point
+    q, p = rng.uniform(-1, 1, (200, 2, 2)).transpose(1, 2, 0)
+    back_q, back_p = frame_map(*frame_map(q, p, FRAME_A, FRAME_C), FRAME_C, FRAME_A)
+    worst = max(float(np.max(np.abs(back_q - q))), float(np.max(np.abs(back_p - p))))
     record("classical_switch_round_trip", worst, 1e-12)
 
     # reduced-dynamics energy conservation over a short window

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classical import FrameLabel
+import numpy as np
+
+from .classical import FrameLabel, frame_map
 from .dynamics import OscillatorParams
 from .errors import FrameMismatch, UnsupportedObservable
 from .grids import (
@@ -91,20 +93,19 @@ def switch_frame(psi: WaveFunction, sw: FrameSwitch) -> WaveFunction:
 def switch_dictionary(sw: FrameSwitch) -> dict:
     """Substitutions sending old reduced symbols to new-frame symbols.
 
-    Mirrors the classical coordinate change: with old frame F1, new frame F2
+    Each old coordinate is a row of the reverse classical map's integer
+    blocks, ``frame_map(eye, eye, F2, F1)``: with old frame F1, new frame F2
     and remaining particle R,
 
         q_F2 -> -q'_F1,          p_F2 -> -p'_F1 - p'_R,
         q_R  -> q'_R - q'_F1,    p_R  -> p'_R.
     """
-    old_name = sw.from_frame.name
-    new_name = sw.to_frame.name
-    rem = sw.remaining
+    new = reduced_labels(sw.to_frame)
+    blocks = frame_map(np.eye(2), np.eye(2), sw.to_frame, sw.from_frame)
     return {
-        (new_name, "q"): -1 * Observable.position(old_name),
-        (new_name, "p"): -1 * Observable.momentum(old_name) - Observable.momentum(rem),
-        (rem, "q"): Observable.position(rem) - Observable.position(old_name),
-        (rem, "p"): Observable.momentum(rem),
+        (old, kind): Observable({(((name, kind), 1),): c for name, c in zip(new, row)})
+        for kind, block in zip("qp", blocks)
+        for old, row in zip(reduced_labels(sw.from_frame), block)
     }
 
 

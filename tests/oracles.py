@@ -48,8 +48,7 @@ from qrf.classical import (
     FRAME_C,
     FrameLabel,
     Potential,
-    ReducedPhasePoint,
-    classical_frame_switch,
+    frame_map,
     pin_frame,
 )
 from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, kinetic_matrix
@@ -719,24 +718,22 @@ def switched_ground_reduction(
     The state exp(-(alpha_A q_A^2 + alpha_B q_B^2) / 2) has the covariance
     sigma = diag(1/(2 alpha_A), 1/(2 alpha_B), alpha_A/2, alpha_B/2) over
     (q_A, q_B, p_A, p_B).  The switch is linear and symplectic; its matrix M
-    is ``classical_frame_switch`` applied to unit vectors, and the switched
-    covariance is M sigma M^T.  The kept particle's 2 x 2 block has the
+    is block-diagonal, with the integer blocks ``frame_map(eye, eye, C,
+    frame)``, and the switched covariance is M sigma M^T.  The kept
+    particle's 2 x 2 block has the
     symplectic eigenvalue nu = sqrt(det), entropy
     (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) and purity 1/(2 nu)
     (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  Switching to frame
     A and keeping B gives nu = sqrt((alpha_A + alpha_B) / (4 alpha_A)).
     """
-    columns = []
-    for unit in np.eye(4):
-        moved = classical_frame_switch(ReducedPhasePoint(FRAME_C, unit[:2], unit[2:]), frame)
-        columns.append(np.concatenate([moved.q_rel, moved.p_rel]))
-    m = np.array(columns).T
+    q_block, p_block = frame_map(np.eye(2), np.eye(2), FRAME_C, frame)
+    m = np.block([[q_block, np.zeros((2, 2))], [np.zeros((2, 2)), p_block]])
     omega = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
     if not np.array_equal(m @ omega @ m.T, omega):
         raise AssertionError("the frame switch is not symplectic")
     sigma = np.diag([0.5 / alpha_a, 0.5 / alpha_b, 0.5 * alpha_a, 0.5 * alpha_b])
     switched = m @ sigma @ m.T
-    i = moved.labels.index(FrameLabel.from_name(keep).index)
+    i = reduced_labels(frame).index(keep)
     block = switched[np.ix_((i, i + 2), (i, i + 2))]
     nu = math.sqrt(float(np.linalg.det(block)))
     entropy = (nu + 0.5) * math.log(nu + 0.5)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from qrf.classical import (
     classical_frame_switch,
     dirac_bracket,
     embed_reduced,
+    frame_map,
     gauge_flow,
     lagrangian_momenta,
     pin_frame,
@@ -150,6 +153,13 @@ class TestFrameSwitch:
         with pytest.raises(SameFrame):
             classical_frame_switch(rp, FRAME_A)
 
+    def test_large_momenta_switch(self):
+        # the embedded momenta sum to 6e-9 by rounding, above CONSTRAINT_TOL;
+        # the switch builds no extended point, so it has no surface to miss
+        rp = ReducedPhasePoint(FRAME_A, [0.0, 0.0], [1e8, 0.1])
+        out = classical_frame_switch(rp, FRAME_C)
+        assert out.p_rel.tolist() == [-(1e8 + 0.1), 1e8]
+
     def test_general_n(self, rng):
         # five particles: switching is just a relabelled translation
         rp = ReducedPhasePoint(FrameLabel(2), rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4))
@@ -163,6 +173,55 @@ class TestFrameSwitch:
                     ext_out.q[i] - ext_out.q[j], ext_in.q[i] - ext_in.q[j], atol=1e-12
                 )
         assert_allclose(ext_out.p, ext_in.p, atol=1e-12)
+
+
+def ordered_frame_pairs(n):
+    return list(itertools.permutations([FrameLabel(i) for i in range(n)], 2))
+
+
+class TestFrameMap:
+    """``frame_map`` is the paper's embed -> flow -> project, written on arrays."""
+
+    @staticmethod
+    def construction(q_rel, p_rel, old, new):
+        extended = embed_reduced(ReducedPhasePoint(old, q_rel, p_rel))
+        moved = project_reduced(gauge_flow(extended, -extended.q[new.index]), new)
+        return moved.q_rel, moved.p_rel
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_embed_flow_project_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for old, new in ordered_frame_pairs(n):
+            # magnitudes over six decades, so that the subtractions round
+            shape = (2, n - 1, 300)
+            q, p = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-3, 4, shape)
+            stacked = frame_map(q, p, old, new)
+            for k in range(shape[-1]):
+                expected = self.construction(q[:, k], p[:, k], old, new)
+                single = frame_map(q[:, k], p[:, k], old, new)
+                column = (stacked[0][:, k], stacked[1][:, k])
+                for got in (single, column):
+                    assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_blocks_are_integer_and_symplectic(self, n):
+        eye = np.eye(n - 1)
+        zero = np.zeros_like(eye)
+        omega = np.block([[zero, eye], [-eye, zero]])
+        for old, new in ordered_frame_pairs(n):
+            q_block, p_block = frame_map(eye, eye, old, new)
+            m = np.block([[q_block, zero], [zero, p_block]])
+            assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
+            assert np.array_equal(m @ omega @ m.T, omega)
+            back_q, back_p = frame_map(q_block, p_block, new, old)
+            assert np.array_equal(back_q, eye) and np.array_equal(back_p, eye)
+
+    def test_classical_frame_switch_is_the_map(self, rng):
+        rp = ReducedPhasePoint(FrameLabel(1), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        out = classical_frame_switch(rp, FrameLabel(3))
+        q, p = frame_map(rp.q_rel, rp.p_rel, FrameLabel(1), FrameLabel(3))
+        assert out.frame == FrameLabel(3)
+        assert out.q_rel.tobytes() == q.tobytes() and out.p_rel.tobytes() == p.tobytes()
 
 
 class TestDiracBracket:

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,9 @@ class TestCommandLine:
             trajectory_config(name=".."),
             # omega_a ** 2 overflows the float range
             trajectory_config(omega_a="1e300"),
+            # sizes whose n^2 arrays would not fit in memory
+            "kind = invariant-suite\ngrid_n = 1048576\n",
+            "kind = wigner-study\nmode = eigenstates\npoints = 1000000\n",
         ],
         ids=[
             "t_final-nan", "grid_n-100", "level_a-2", "points-1", "m_c-negative",
@@ -313,6 +317,7 @@ class TestCommandLine:
             "eigenstates-level_a", "eigenstates-alpha_a", "mode-unknown",
             "a0-bool", "t_final-bool", "alpha_a-bool", "grid_length-bool",
             "name-slash", "name-dotdot", "omega_a-overflow",
+            "grid_n-over-cap", "points-over-cap",
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, body):
@@ -322,6 +327,33 @@ class TestCommandLine:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qrf: ")
         assert not (tmp_path / "new").exists()
+
+    def test_size_caps_are_inclusive(self):
+        cap = experiments.MAX_AXIS_POINTS
+        for kind, key, extra in [
+            ("invariant-suite", "grid_n", {}),
+            ("wigner-study", "points", {"mode": "eigenstates"}),
+        ]:
+            assert ExperimentConfig(kind, {key: cap, **extra}).values()[key] == cap
+            with pytest.raises(ConfigError, match=f"at most {cap}"):
+                ExperimentConfig(kind, {key: cap + 1, **extra}).values()
+
+    def test_overflow_exits_2_with_one_line_and_no_warning(self, tmp_path, capsys):
+        # x**2 overflows on a +-1e300 window; numpy would warn before the
+        # normalization check failed
+        path = tmp_path / "wide.cfg"
+        path.write_text(
+            "kind = wigner-study\nmode = eigenstates\nhalf_width = 1e300\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(path)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qrf: ")
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["figure", "run"])
     def test_output_path_through_a_file_exits_2(self, tmp_path, capsys, command):

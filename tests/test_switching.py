@@ -200,20 +200,25 @@ class TestObservableDictionary:
                 after = conjugate_observable(obs, sw).expectation(switched)
                 assert abs(before - after) <= 1e-8
 
-    def test_matches_classical_coordinate_map(self, rng):
+    @pytest.mark.parametrize(
+        "start,target", PAIRS, ids=[f"{s.name}-{t.name}" for s, t in PAIRS]
+    )
+    def test_matches_classical_coordinate_map(self, rng, start, target):
         # the operator dictionary is the classical switch read backwards:
         # substituting the dictionary into old coordinates reproduces the
         # coordinates of the switched classical point
-        sw = FrameSwitch(FRAME_A, FRAME_C)
-        mapping = switch_dictionary(sw)
-        rp = ReducedPhasePoint(FRAME_A, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        out = classical_frame_switch(rp, FRAME_C)
-        values = {
-            ("A", "q"): out.q_rel[0],
-            ("A", "p"): out.p_rel[0],
-            ("B", "q"): out.q_rel[1],
-            ("B", "p"): out.p_rel[1],
-        }
+        mapping = switch_dictionary(FrameSwitch(start, target))
+        rp = ReducedPhasePoint(start, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+        out = classical_frame_switch(rp, target)
+
+        def coordinates(point):
+            return {
+                (label, kind): value
+                for kind, values in (("q", point.q_rel), ("p", point.p_rel))
+                for label, value in zip(reduced_labels(point.frame), values)
+            }
+
+        values = coordinates(out)
 
         def evaluate(obs):
             total = 0.0
@@ -224,12 +229,8 @@ class TestObservableDictionary:
                 total += term
             return total
 
-        old = {
-            ("B", "q"): rp.q_rel[0],
-            ("B", "p"): rp.p_rel[0],
-            ("C", "q"): rp.q_rel[1],
-            ("C", "p"): rp.p_rel[1],
-        }
+        old = coordinates(rp)
+        assert set(mapping) == set(old)
         for key, image in mapping.items():
             assert evaluate(image) == pytest.approx(old[key], abs=1e-12)
 
