@@ -28,7 +28,6 @@ from . import __version__
 from .classical import FRAME_A, FRAME_C, FrameLabel, ReducedPhasePoint, frame_map
 from .dynamics import (
     OscillatorParams,
-    analytic_oscillator_frame_a,
     analytic_oscillator_frame_c,
     integrate_reduced,
 )
@@ -395,7 +394,8 @@ def _run_classical_trajectory(config: ExperimentConfig, v: dict):
         )
     times = np.arange(int(round(steps)) + 1) * v["dt"]
     x_a, x_b = analytic_oscillator_frame_c(params, times)
-    q_b, q_c = analytic_oscillator_frame_a(params, times)
+    # the C -> A map of the positions, which no momentum enters
+    q_b, q_c = frame_map(np.array((x_a, x_b)), np.zeros(2), FRAME_C, FRAME_A)[0]
     entry = _write_csv(
         config.output_dir / f"{v['name']}.csv",
         ["t", "x_A", "x_B", "q_B", "q_C"],
@@ -414,25 +414,16 @@ def _wigner_csv_columns(grid):
 
 
 def _run_wigner_study(config: ExperimentConfig, v: dict):
+    """Every grid passes every gate before any file is written, so a failed run writes nothing."""
     name, points = v["name"], v["points"]
-    files = []
     if v["mode"] == "eigenstates":
         alpha = v["alpha"]
         with _config_values(config.kind):
             x = np.linspace(-v["half_width"], v["half_width"], points)
-            grids = [closed_form_eigenstate_wigner(level, alpha, x, x * alpha) for level in (0, 1)]
-        for grid, tag in zip(grids, ("ground", "excited")):
-            if not (abs(grid.integral() - 1.0) <= 1e-4):  # NaN fails it
-                raise NumericalFailure(
-                    f"closed-form Wigner normalization off: {grid.integral():.6f}"
-                )
-            files.append(
-                _write_csv(
-                    config.output_dir / f"{name}_{tag}.csv",
-                    ["x", "xi", "w"],
-                    _wigner_csv_columns(grid),
-                )
-            )
+            grids = {
+                f"{name}_{tag}.csv": closed_form_eigenstate_wigner(level, alpha, x, x * alpha)
+                for level, tag in enumerate(("ground", "excited"))
+            }
     else:  # marginals
         alpha_a, alpha_b = v["alpha_a"], v["alpha_b"]
         with _config_values(config.kind):
@@ -441,27 +432,25 @@ def _run_wigner_study(config: ExperimentConfig, v: dict):
         sigma_p = math.sqrt(max(alpha_a, alpha_b))
         x = np.linspace(-6.0 * sigma, 6.0 * sigma, points)
         xi = np.linspace(-6.0 * sigma_p, 6.0 * sigma_p, points)
+        grids = {}
         for keep in ("B", "C"):
             grid = marginal_wigner(joint, keep, x, xi, quad_points=3)
-            if not (abs(grid.integral() - 1.0) <= 1e-4):
-                raise NumericalFailure(
-                    f"marginal {keep} normalization off: {grid.integral():.6f}"
-                )
             # pointwise, which the normalization is not: 3 and 5 nodes agree
             # to rounding only where both rules are exact
             finer = marginal_wigner(joint, keep, x, xi, quad_points=5)
             gap = float(np.max(np.abs(finer.values - grid.values)))
-            if not (gap <= 1e-12 * float(np.max(np.abs(grid.values)))):
+            if not (gap <= 1e-12 * float(np.max(np.abs(grid.values)))):  # NaN fails it
                 raise NumericalFailure(
                     f"marginal {keep} quadrature not converged: 3 and 5 nodes differ by {gap:.3e}"
                 )
-            files.append(
-                _write_csv(
-                    config.output_dir / f"{name}_marginal_{keep}.csv",
-                    ["x", "xi", "w"],
-                    _wigner_csv_columns(grid),
-                )
-            )
+            grids[f"{name}_marginal_{keep}.csv"] = grid
+    for file_name, grid in grids.items():
+        if not (abs(grid.integral() - 1.0) <= 1e-4):  # NaN fails it
+            raise NumericalFailure(f"{file_name}: Wigner normalization off: {grid.integral():.6f}")
+    files = [
+        _write_csv(config.output_dir / file_name, ["x", "xi", "w"], _wigner_csv_columns(grid))
+        for file_name, grid in grids.items()
+    ]
     return files, None
 
 

@@ -10,6 +10,8 @@ three reductions of one state are related by the unimodular substitutions
 which on commensurate momentum grids (equal dp on all axes) map grid points to
 grid points and are implemented here as exact index permutations.  The physical
 inner product is the plain two-axis inner product of any common reduction.
+A frame-F reduction is tagged F, has the axes ``reduced_labels(F)`` and one
+shared grid; :func:`reduction_grid` is the one check of that contract.
 
 The redundancy-removing map behind these reductions is the unitary
 exp(i q_F (sum of other momenta + k)): it shifts the frame momentum so the
@@ -23,6 +25,7 @@ must reproduce.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +48,7 @@ from .grids import (
 )
 
 
+@functools.cache  # read up to five times per switch, by each reduction check and by remaining
 def reduced_labels(frame: FrameLabel) -> tuple[str, str]:
     """Axis labels of the frame's reduction, in ascending particle order."""
     if frame.index not in (0, 1, 2):
@@ -53,7 +57,20 @@ def reduced_labels(frame: FrameLabel) -> tuple[str, str]:
     return tuple(names)  # type: ignore[return-value]
 
 
-def _shared_grid(psi: WaveFunction) -> Grid1D:
+def reduction_grid(psi: WaveFunction, frame: FrameLabel | None) -> Grid1D:
+    """The one grid of psi as a frame-``frame`` reduction, checking that it is one.
+
+    Raises :class:`FrameMismatch` unless psi is tagged ``frame`` and has the
+    axes ``reduced_labels(frame)``, and :class:`GridMismatch` unless its axes
+    share one grid (equal n and length).
+    """
+    if frame is None or psi.frame != frame:
+        tag = psi.frame.name if psi.frame else None
+        raise FrameMismatch(f"state is tagged {tag}, expected {frame.name if frame else 'a tag'}")
+    if psi.labels != reduced_labels(frame):
+        raise FrameMismatch(
+            f"frame {frame.name} reduction must have axes {reduced_labels(frame)}, got {psi.labels}"
+        )
     grids = {grid for _, grid in psi.subsystems}
     if len(grids) != 1:
         raise GridMismatch("all axes must share one grid (equal n and length)")
@@ -73,17 +90,10 @@ def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunct
     F's axis is reversed about n/2 and read along the diagonals i_O + i_R,
     which one strided view of the twice-stacked reversed array does.
     """
-    if psi.frame is None:
-        raise FrameMismatch("state carries no frame tag")
     old_frame = psi.frame
+    grid = reduction_grid(psi, old_frame)
     if new_frame == old_frame:
         raise SameFrame(f"already reduced relative to {old_frame.name}")
-    if psi.ndim != 2 or psi.labels != reduced_labels(old_frame):
-        raise FrameMismatch(
-            f"frame {old_frame.name} reduction must have axes {reduced_labels(old_frame)},"
-            f" got {psi.labels}"
-        )
-    grid = _shared_grid(psi)
     n = grid.n
     out_labels = reduced_labels(new_frame)
     remaining = next(label for label in out_labels if label != old_frame.name)
@@ -110,17 +120,12 @@ class PhysicalState:
     frame: FrameLabel
 
     def __post_init__(self):
-        expected = reduced_labels(self.frame)
         psi = self.canonical
-        if psi.labels != expected:
-            raise FrameMismatch(f"expected axes {expected}, got {psi.labels}")
+        reduction_grid(psi, self.frame)
         if any(rep != MOMENTUM for rep in psi.representation):
             raise ValueError("canonical amplitudes must be stored in momentum representation")
-        _shared_grid(psi)
         if abs(psi.norm() - 1.0) > 1e-9:
             raise ValueError(f"canonical amplitude not normalized: norm={psi.norm():.3e}")
-        if psi.frame is not None and psi.frame != self.frame:
-            raise FrameMismatch("wavefunction frame tag disagrees with the state frame")
 
     @property
     def grid(self) -> Grid1D:
@@ -130,8 +135,6 @@ class PhysicalState:
 def physical_state(psi: WaveFunction, frame: FrameLabel | None = None) -> PhysicalState:
     """Normalize a two-axis amplitude into a canonical physical state."""
     frame = frame if frame is not None else psi.frame
-    if frame is None:
-        raise FrameMismatch("a frame tag is required")
     work = to_representation(psi, MOMENTUM).normalized()
     work = work._with(work.amplitudes, frame=frame)
     return PhysicalState(work, frame)
@@ -139,8 +142,6 @@ def physical_state(psi: WaveFunction, frame: FrameLabel | None = None) -> Physic
 
 def reexpress(state: PhysicalState, new_frame: FrameLabel) -> PhysicalState:
     """The same physical state described relative to another particle."""
-    if new_frame == state.frame:
-        raise SameFrame(f"state is already in frame {state.frame.name}")
     return PhysicalState(momentum_substitution(state.canonical, new_frame), new_frame)
 
 
@@ -174,11 +175,10 @@ class GridHamiltonian:
     kick of the next merge into one full kick exp(-i V dt).
     """
 
-    def __init__(self, subsystems, kinetic_grid, potential_grid, frame):
+    def __init__(self, subsystems, kinetic_grid, potential_grid):
         self.subsystems = tuple(subsystems)
         self.kinetic_grid = np.asarray(kinetic_grid, dtype=float)
         self.potential_grid = np.asarray(potential_grid, dtype=float)
-        self.frame = frame
         shape = tuple(grid.n for _, grid in self.subsystems)
         if self.kinetic_grid.shape != shape or self.potential_grid.shape != shape:
             raise ValueError("kinetic/potential grids do not match the subsystem shape")
@@ -280,4 +280,4 @@ def reduced_quantum_hamiltonian(
     positions = np.stack(np.meshgrid(*(grid.positions() for grid in grids), indexing="ij"))
     kinetic_grid = reduced_energy(np.zeros_like(momenta), momenta, frame, FREE_POTENTIAL, system)
     potential_grid = potential(pin_frame(positions, frame))
-    return GridHamiltonian(subsystems, kinetic_grid, potential_grid, frame)
+    return GridHamiltonian(subsystems, kinetic_grid, potential_grid)

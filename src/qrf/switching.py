@@ -24,7 +24,7 @@ import numpy as np
 
 from .classical import FrameLabel, frame_map
 from .dynamics import OscillatorParams
-from .errors import FrameMismatch, UnsupportedObservable
+from .errors import UnsupportedObservable
 from .grids import (
     WaveFunction,
     apply_shear_phase,
@@ -35,7 +35,12 @@ from .grids import (
     with_axis_order,
 )
 from .observables import Observable
-from .physical import momentum_substitution, reduced_labels, reduced_quantum_hamiltonian
+from .physical import (
+    momentum_substitution,
+    reduced_labels,
+    reduced_quantum_hamiltonian,
+    reduction_grid,
+)
 
 BACKENDS = ("parity-shear", "compositional")
 
@@ -49,18 +54,16 @@ class FrameSwitch:
     backend: str = "parity-shear"
 
     def __post_init__(self):
-        if self.from_frame == self.to_frame:
-            raise ValueError("from_frame and to_frame must differ")
-        for frame in (self.from_frame, self.to_frame):
-            if frame.index not in (0, 1, 2):
-                raise ValueError("quantum switches are defined for particles A, B, C")
+        if self.to_frame.name not in reduced_labels(self.from_frame):
+            raise ValueError("from_frame and to_frame must be two different particles of three")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
     @property
     def remaining(self) -> str:
         """Label of the particle that is neither the old nor the new frame."""
-        return FrameLabel(3 - self.from_frame.index - self.to_frame.index).name
+        (label,) = set(reduced_labels(self.from_frame)) - {self.to_frame.name}
+        return label
 
     def reversed(self) -> "FrameSwitch":
         return FrameSwitch(self.to_frame, self.from_frame, self.backend)
@@ -68,16 +71,7 @@ class FrameSwitch:
 
 def switch_frame(psi: WaveFunction, sw: FrameSwitch) -> WaveFunction:
     """Map a frame-`from` reduced state to the frame-`to` reduction."""
-    if psi.frame != sw.from_frame:
-        raise FrameMismatch(
-            f"state is tagged {psi.frame.name if psi.frame else None}, "
-            f"switch expects {sw.from_frame.name}"
-        )
-    if psi.labels != reduced_labels(sw.from_frame):
-        raise FrameMismatch(
-            f"frame {sw.from_frame.name} reduction must have axes "
-            f"{reduced_labels(sw.from_frame)}, got {psi.labels}"
-        )
+    reduction_grid(psi, sw.from_frame)
     if sw.backend == "compositional":
         out = momentum_substitution(psi, sw.to_frame)
         # restore the caller's representation tags on the relabeled axes

@@ -157,26 +157,26 @@ class DensityMatrix:
         return float(-np.sum(eigenvalues * np.log(eigenvalues)))
 
 
+def _kept_first(psi: WaveFunction, ndim: int, keep: str | None = None):
+    """An ``ndim``-axis state's normalized position amplitudes, axis ``keep`` first, and grids."""
+    if psi.ndim != ndim:
+        raise ValueError(f"expected a state with {ndim} axes, got {psi.ndim}")
+    work = to_representation(psi, POSITION).normalized()
+    grids = [grid for _, grid in work.subsystems]
+    if keep is None or work.axis(keep) == 0:
+        return work.amplitudes, grids
+    return work.amplitudes.T, grids[::-1]
+
+
 def density_matrix_from_pure(psi: WaveFunction) -> DensityMatrix:
     """Rank-one density matrix of a single-axis pure state."""
-    if psi.ndim != 1:
-        raise ValueError("expected a single-axis state")
-    work = to_representation(psi, POSITION).normalized()
-    grid = work.subsystems[0][1]
-    amp = work.amplitudes
+    amp, (grid,) = _kept_first(psi, 1)
     return DensityMatrix._adopt(np.outer(amp, amp.conj()) * grid.dx, grid)
 
 
 def partial_trace(psi: WaveFunction, keep: str) -> DensityMatrix:
     """Reduced density matrix of one axis of a normalized two-axis pure state."""
-    if psi.ndim != 2:
-        raise ValueError("partial trace expects a two-axis state")
-    work = to_representation(psi, POSITION).normalized()
-    axis = work.axis(keep)
-    other_axis = 1 - axis
-    grid = work.subsystems[axis][1]
-    other_grid = work.subsystems[other_axis][1]
-    amp = work.amplitudes if axis == 0 else work.amplitudes.T
+    amp, (grid, other_grid) = _kept_first(psi, 2, keep)
     matrix = (amp @ amp.conj().T) * other_grid.dx * grid.dx
     return DensityMatrix._adopt(matrix, grid)
 
@@ -360,12 +360,8 @@ def negativity_volume(w: WignerGrid) -> float:
 
 def entanglement_entropy(psi: WaveFunction, cut: str) -> float:
     """Von Neumann entropy (nats) across the cut of a two-axis pure state."""
-    if psi.ndim != 2:
-        raise ValueError("entanglement entropy expects a two-axis state")
-    work = to_representation(psi, POSITION).normalized()
-    axis = work.axis(cut)
-    amp = work.amplitudes if axis == 0 else work.amplitudes.T
-    weights = math.sqrt(work.subsystems[0][1].dx * work.subsystems[1][1].dx)
+    amp, (grid, other_grid) = _kept_first(psi, 2, cut)
+    weights = math.sqrt(grid.dx * other_grid.dx)
     singular = np.linalg.svd(amp * weights, compute_uv=False)
     schmidt = singular**2
     schmidt = schmidt / np.sum(schmidt)

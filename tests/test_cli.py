@@ -394,6 +394,44 @@ class TestCommandLine:
         assert "not converged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unconverged_keep_c_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # keep B passes both gates; every grid is gated before any is written,
+        # so keep C's failure leaves no marginal_B.csv without a manifest
+        real = experiments.marginal_wigner
+
+        def perturbed(joint, keep, x, xi, quad_points=3):
+            grid = real(joint, keep, x, xi, quad_points=quad_points)
+            if quad_points != 5 or keep != "C":
+                return grid
+            return WignerGrid(grid.x, grid.xi, grid.values + 1e-9)
+
+        monkeypatch.setattr(experiments, "marginal_wigner", perturbed)
+        out = tmp_path / "out"
+        path = tmp_path / "study.cfg"
+        path.write_text(
+            "kind = wigner-study\nmode = marginals\nlevel_a = 1\nlevel_b = 1\n"
+            f"alpha_a = 1\nalpha_b = 1\npoints = 21\noutput_dir = {out}\n"
+        )
+        assert main(["run", str(path)]) == 3
+        assert "marginal C quadrature not converged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unnormalized_excited_grid_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # the ground grid passes; the excited one fails after it, before any write
+        real = experiments.closed_form_eigenstate_wigner
+
+        def perturbed(level, alpha, x=None, xi=None):
+            grid = real(level, alpha, x, xi)
+            return grid if level == 0 else WignerGrid(grid.x, grid.xi, 2.0 * grid.values)
+
+        monkeypatch.setattr(experiments, "closed_form_eigenstate_wigner", perturbed)
+        out = tmp_path / "out"
+        path = tmp_path / "study.cfg"
+        path.write_text(f"kind = wigner-study\nmode = eigenstates\npoints = 41\noutput_dir = {out}\n")
+        assert main(["run", str(path)]) == 3
+        assert "wigner_excited.csv: Wigner normalization off" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_suite_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["suite", "--seed", "-1", "--out", str(out)]) == 2

@@ -106,7 +106,7 @@ def test_grid_hamiltonian_carries_no_oracle_or_unread_state(grid16):
     h = reduced_quantum_hamiltonian(
         FRAME_A, FREE_POTENTIAL, ParticleSystem(3), [("B", grid16), ("C", grid16)]
     )
-    assert set(vars(h)) == {"subsystems", "kinetic_grid", "potential_grid", "frame"}
+    assert set(vars(h)) == {"subsystems", "kinetic_grid", "potential_grid"}
     for name in ("dense", "ground_energy", "kinetic_observable"):
         assert not hasattr(GridHamiltonian, name)
 

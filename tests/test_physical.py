@@ -83,6 +83,10 @@ class TestPhysicalState:
         psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
         with pytest.raises(FrameMismatch):
             physical_state(psi, FRAME_B)
+        # untagged, and no frame given
+        for reduce in (physical_state, lambda psi: momentum_substitution(psi, FRAME_B)):
+            with pytest.raises(FrameMismatch):
+                reduce(psi)
 
     def test_commensurate_grids_required(self, grid64, rng):
         other = Grid1D(64, 18.0)
@@ -99,9 +103,10 @@ class TestReexpress:
         assert overlap >= 1.0 - 1e-8
 
     def test_same_frame_rejected(self, grid128, rng):
-        state = random_state(grid128, rng)
-        with pytest.raises(SameFrame):
-            reexpress(state, FRAME_A)
+        for frame in FRAMES:
+            state = random_state(grid128, rng, frame)
+            with pytest.raises(SameFrame):
+                reexpress(state, frame)
 
     def test_gaussian_substitution_closed_form(self, grid128):
         alpha_b, alpha_c = 1.2, 0.9

@@ -7,11 +7,12 @@ from qrf.classical import (
     FRAME_A,
     FRAME_B,
     FRAME_C,
+    FrameLabel,
     ReducedPhasePoint,
     classical_frame_switch,
 )
 from qrf.dynamics import OscillatorParams
-from qrf.errors import FrameMismatch, UnsupportedObservable
+from qrf.errors import FrameMismatch, GridMismatch, UnsupportedObservable
 from qrf.grids import (
     MOMENTUM,
     POSITION,
@@ -58,6 +59,9 @@ class TestFrameSwitch:
             FrameSwitch(FRAME_A, FRAME_A)
         with pytest.raises(ValueError):
             FrameSwitch(FRAME_A, FRAME_C, backend="magic")
+        for start, target in ((FRAME_A, FrameLabel(3)), (FrameLabel(3), FRAME_A)):
+            with pytest.raises(ValueError):
+                FrameSwitch(start, target)
         assert FrameSwitch(FRAME_A, FRAME_C).remaining == "B"
         assert FrameSwitch(FRAME_B, FRAME_C).remaining == "A"
 
@@ -99,8 +103,22 @@ class TestFrameSwitch:
 
     def test_frame_tag_enforced(self, grid128, rng):
         psi = two_axis_state(grid128, rng, frame=FRAME_A)
-        with pytest.raises(FrameMismatch):
-            switch_frame(psi, FrameSwitch(FRAME_C, FRAME_A))
+        untagged = random_wavefunction([("B", grid128), ("C", grid128)], rng)
+        wrong_axes = random_wavefunction([("A", grid128), ("B", grid128)], rng, frame=FRAME_A)
+        for backend in BACKENDS:
+            with pytest.raises(FrameMismatch):
+                switch_frame(psi, FrameSwitch(FRAME_C, FRAME_A, backend))
+            for bad in (untagged, wrong_axes):
+                with pytest.raises(FrameMismatch):
+                    switch_frame(bad, FrameSwitch(FRAME_A, FRAME_C, backend))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mixed_grids_rejected(self, grid64, rng, backend):
+        # one reduction check runs before either backend, so both refuse
+        # axes whose momentum steps differ
+        psi = random_wavefunction([("B", grid64), ("C", Grid1D(64, 18.0))], rng, frame=FRAME_A)
+        with pytest.raises(GridMismatch):
+            switch_frame(psi, FrameSwitch(FRAME_A, FRAME_C, backend))
 
     def test_matches_gauge_invariant_reexpression(self, grid128, rng):
         # the switch equals re-expressing the underlying physical state
