@@ -93,13 +93,17 @@ class Trajectory:
         self.times = np.array(times, dtype=float)
         self.q = np.array(q, dtype=float)
         self.p = np.array(p, dtype=float)
-        self.frame = frame
+        self._frame = frame
         if self.q.shape != self.p.shape or self.q.shape[0] != self.times.shape[0]:
             raise ValueError("inconsistent trajectory shapes")
         if not np.all(np.diff(self.times) > 0):  # NaN fails it
             raise ValueError("times must be strictly increasing")
         for arr in (self.times, self.q, self.p):
             arr.setflags(write=False)
+
+    @property
+    def frame(self) -> FrameLabel:
+        return self._frame
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -308,21 +312,18 @@ def analytic_oscillator_frame_a(params: OscillatorParams, t):
 
 def acceleration_identity_check(
     potential: Potential, rp: ReducedPhasePoint
-) -> tuple[float, float]:
+) -> tuple[float, ...]:
     """Residuals of the relative accelerations against the potential gradients.
 
-    For three particles in frame A the reduced equations of motion give
-    qdd_B = -2 dV/dq_B - dV/dq_C and symmetrically for C.  The left side is
-    obtained by second-differencing a three-sample integrated trajectory of
-    step 1e-3.
+    For unit masses the reduced equations of motion give qdd = -2 M dV/dq, M the
+    frame's ``kinetic_matrix`` (qdd_B = -2 dV/dq_B - dV/dq_C for three particles
+    in frame A).  The left side is obtained by second-differencing a three-sample
+    integrated trajectory of step 1e-3.  One residual per surviving particle.
     """
-    if rp.n != 3 or rp.frame.index != 0:
-        raise ValueError("acceleration identities are stated for N=3 in frame A")
     dt = 1e-3
-    system = ParticleSystem(3)
+    system = ParticleSystem(rp.n)
     traj = integrate_reduced(rp, potential, system, 2 * dt, dt)
     qdd = (traj.q[0] - 2 * traj.q[1] + traj.q[2]) / dt**2
-    grad = np.delete(potential.gradient(pin_frame(traj.q[1], rp.frame)), rp.frame.index)
-    rhs = np.array([-2 * grad[0] - grad[1], -2 * grad[1] - grad[0]])
-    residual = np.abs(qdd - rhs)
-    return float(residual[0]), float(residual[1])
+    grad = potential.gradient(pin_frame(traj.q[1], rp.frame))
+    rhs = -2 * kinetic_matrix(system, rp.frame) @ grad[list(rp.labels)]
+    return tuple(float(r) for r in np.abs(qdd - rhs))

@@ -94,27 +94,6 @@ def _along_axis(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def _centered_fft(arr: np.ndarray, axis: int) -> np.ndarray:
-    """DFT with both input and output indices centered at n/2 (n % 4 == 0).
-
-    Returns a fresh array; the transform and the output signs run in place on
-    it (1-d ``fft(out=)`` only: ``fft2(out=)`` is unreliable on numpy 2.4).
-    """
-    signs = _along_axis(_alternating(arr.shape[axis]), arr.ndim, axis)
-    out = arr * signs
-    np.fft.fft(out, axis=axis, out=out)
-    out *= signs
-    return out
-
-
-def _centered_ifft(arr: np.ndarray, axis: int) -> np.ndarray:
-    signs = _along_axis(_alternating(arr.shape[axis]), arr.ndim, axis)
-    out = arr * signs
-    np.fft.ifft(out, axis=axis, out=out)
-    out *= signs
-    return out
-
-
 class WaveFunction:
     """Complex amplitudes over a tensor product of 1-d grids.
 
@@ -123,7 +102,7 @@ class WaveFunction:
     perspective the state describes.
     """
 
-    __slots__ = ("_subsystems", "_representation", "_amplitudes", "frame")
+    __slots__ = ("_subsystems", "_representation", "_amplitudes", "_frame")
 
     def __init__(self, subsystems, amplitudes, representation, frame: FrameLabel | None = None):
         # a copy, so the caller's array stays writable and later writes to it
@@ -165,7 +144,7 @@ class WaveFunction:
         self._subsystems = subsystems
         self._representation = representation
         self._amplitudes = arr
-        self.frame = frame
+        self._frame = frame
 
     @property
     def subsystems(self):
@@ -182,6 +161,10 @@ class WaveFunction:
     @property
     def amplitudes(self) -> np.ndarray:
         return self._amplitudes
+
+    @property
+    def frame(self) -> FrameLabel | None:
+        return self._frame
 
     @property
     def ndim(self) -> int:
@@ -260,11 +243,16 @@ def change_representation(psi: WaveFunction, label: str, target: str) -> WaveFun
         return psi
     grid = psi.subsystems[axis][1]
     if target == MOMENTUM:
-        arr = _centered_fft(psi.amplitudes, axis)
-        arr *= grid.dx / _SQRT_2PI
+        transform, scale = np.fft.fft, grid.dx / _SQRT_2PI
     else:
-        arr = _centered_ifft(psi.amplitudes, axis)
-        arr *= _SQRT_2PI / grid.dx
+        transform, scale = np.fft.ifft, _SQRT_2PI / grid.dx
+    # the DFT centered at n/2 on both sides (n % 4 == 0), in place on one fresh
+    # array: 1-d ``fft(out=)`` only, since ``fft2(out=)`` is unreliable on numpy 2.4
+    signs = _along_axis(_alternating(grid.n), psi.ndim, axis)
+    arr = psi.amplitudes * signs
+    transform(arr, axis=axis, out=arr)
+    arr *= signs
+    arr *= scale
     representation = list(psi.representation)
     representation[axis] = target
     return psi._with(arr, representation=tuple(representation))

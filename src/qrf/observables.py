@@ -25,6 +25,7 @@ from .grids import (
     MOMENTUM,
     POSITION,
     WaveFunction,
+    _along_axis,
     change_representation,
     inner_product,
     to_matching,
@@ -209,9 +210,7 @@ def _apply_power(psi: WaveFunction, label: str, kind: str, power: int) -> WaveFu
     work = change_representation(psi, label, target)
     axis = work.axis(label)
     values = work.subsystems[axis][1].samples(target) ** power
-    shape = [1] * work.ndim
-    shape[axis] = values.shape[0]
-    return work._with(work.amplitudes * values.reshape(shape))
+    return work._with(work.amplitudes * _along_axis(values, work.ndim, axis))
 
 
 def _apply_monomial(psi: WaveFunction, mono) -> WaveFunction:

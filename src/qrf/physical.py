@@ -183,10 +183,6 @@ class GridHamiltonian:
         if self.kinetic_grid.shape != shape or self.potential_grid.shape != shape:
             raise ValueError("kinetic/potential grids do not match the subsystem shape")
 
-    @property
-    def labels(self):
-        return tuple(label for label, _ in self.subsystems)
-
     def _check(self, psi: WaveFunction):
         if psi.subsystems != self.subsystems:
             raise GridMismatch("state does not live on this Hamiltonian's grids")
@@ -268,7 +264,6 @@ def reduced_quantum_hamiltonian(
     """
     if system.n != 3:
         raise ValueError("quantum reductions are fixed to three particles")
-    system.check_frame(frame)
     subsystems = tuple((str(label), grid) for label, grid in subsystems)
     labels = tuple(label for label, _ in subsystems)
     if labels != reduced_labels(frame):

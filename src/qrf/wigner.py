@@ -282,6 +282,7 @@ def closed_form_eigenstate_wigner(
     return WignerGrid(x, xi, values)
 
 
+@dataclass(frozen=True)
 class TransformedJointWigner:
     """Lazy 4-d Wigner function of a frame-switched two-oscillator product state.
 
@@ -289,17 +290,18 @@ class TransformedJointWigner:
     broadcasts over its inputs.
     """
 
-    def __init__(self, level_a: int, level_b: int, alpha_a: float, alpha_b: float):
-        for level in (level_a, level_b):
+    level_a: int
+    level_b: int
+    alpha_a: float
+    alpha_b: float
+
+    def __post_init__(self):
+        for level in (self.level_a, self.level_b):
             if level not in (0, 1):
                 raise ValueError("levels must be 0 or 1")
         # written so that NaN fails it
-        if not (0 < alpha_a < math.inf and 0 < alpha_b < math.inf):
+        if not (0 < self.alpha_a < math.inf and 0 < self.alpha_b < math.inf):
             raise ValueError("width parameters must be positive and finite")
-        self.level_a = level_a
-        self.level_b = level_b
-        self.alpha_a = alpha_a
-        self.alpha_b = alpha_b
 
     def __call__(self, q_b, q_c, pi_b, pi_c) -> np.ndarray:
         q_b, q_c, pi_b, pi_c = (np.asarray(v) for v in (q_b, q_c, pi_b, pi_c))

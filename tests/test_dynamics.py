@@ -361,6 +361,25 @@ class TestAccelerationIdentities:
         res_b, res_c = acceleration_identity_check(potential, rp)
         assert res_b <= 1e-3 and res_c <= 1e-3
 
+    # every frame of three and of four particles, free and with springs: the
+    # two-body ones of a triangle, then the last particle tied to all others
+    SPRINGS = {
+        3: [(2, 0, 1.0), (2, 1, 2.0), (0, 1, 0.7)],
+        4: [(3, 0, 1.0), (3, 1, 2.0), (3, 2, 0.5), (0, 1, 0.7)],
+    }
+
+    @pytest.mark.parametrize(
+        "frame, n",
+        [(FrameLabel(i), n) for n in (3, 4) for i in range(n)],
+        ids=lambda v: str(getattr(v, "name", v)),
+    )
+    def test_every_frame(self, frame, n):
+        rp = ReducedPhasePoint(frame, [0.4, -0.7, 0.9][: n - 1], [0.2, 0.1, -0.3][: n - 1])
+        for potential in (FREE_POTENTIAL, spring_potential(self.SPRINGS[n])):
+            residuals = acceleration_identity_check(potential, rp)
+            assert len(residuals) == n - 1
+            assert max(residuals) <= 1e-9
+
     def test_factor_two_for_single_coordinate_potential(self):
         # V = V(q_B) only exercises the double pull on the relative coordinate
         potential = Potential(
@@ -397,6 +416,12 @@ class TestTrajectory:
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory([0.0, np.nan], np.zeros((2, 2)), np.zeros((2, 2)), FRAME_A)
+
+    def test_frame_is_read_only(self):
+        traj = Trajectory([0.0, 1.0], np.zeros((2, 2)), np.zeros((2, 2)), FRAME_A)
+        with pytest.raises(AttributeError):
+            traj.frame = FRAME_C
+        assert traj.frame == FRAME_A
 
     def test_point_accessor(self):
         traj = Trajectory([0.0, 1.0], [[1, 2], [3, 4]], [[5, 6], [7, 8]], FRAME_A)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qrf.classical import FRAME_A
+from qrf.classical import FRAME_A, FRAME_C
 from qrf.errors import AxisClash, GridMismatch, UnknownAxis
 from qrf.grids import (
     BOUNDARY_DECAY_TOL,
@@ -258,6 +258,13 @@ class TestStateBuilders:
         ]
         for result in results:
             assert not result.amplitudes.flags.writeable
+
+    def test_frame_is_read_only(self, grid64):
+        # reduction_grid trusts the tag, so it cannot be retagged after the fact
+        psi = gaussian_state(grid64, "B", frame=FRAME_A)
+        with pytest.raises(AttributeError):
+            psi.frame = FRAME_C
+        assert psi.frame == FRAME_A
 
     def test_wavefunction_validation(self, grid64):
         with pytest.raises(ValueError):

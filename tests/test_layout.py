@@ -1,7 +1,10 @@
 """Module layout: dense-matrix oracles live in ``tests/oracles.py``, not in the package.
 
-Production modules reach the Fourier transform only through the centered FFTs
-of ``qrf.grids``, and the caller's representation is restored by one helper,
+Exactly four package functions reach ``numpy.fft``: the one centered transform,
+``qrf.grids.change_representation``, the fused split-step loop
+``GridHamiltonian._strang_steps``, and the Wigner transform's ``_half_step`` and
+``wigner_transform``; every other representation change goes through the first.
+The caller's representation is restored by one helper,
 ``qrf.grids.to_matching``.  Reduced energies, classical and quantum, are
 evaluated by one broadcasting path (``qrf.dynamics.reduced_energy``), never
 point by point.  No module of the package or of the tests imports a name it
@@ -100,6 +103,45 @@ def test_representation_restore_loop_lives_in_grids(path):
             assert not any(True for _ in _calls(node, "change_representation")), (
                 f"{path.name}:{node.lineno} loops over change_representation; use to_matching"
             )
+
+
+def _fft_users(tree, module):
+    """Qualified names of the functions of a module that read ``np.fft``."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "fft"
+                and isinstance(child.value, ast.Name)
+                and child.value.id in ("np", "numpy")
+            ):
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, (module,))
+    return users
+
+
+def test_the_fft_has_exactly_four_callers():
+    trees = {path.stem: _tree(path) for path in SOURCES}
+    # read as np.fft only, never imported under another name
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert "fft" not in (node.module or "") and "fft" not in names, name
+    users = set().union(*(_fft_users(tree, name) for name, tree in trees.items()))
+    assert users == {
+        "grids.change_representation",
+        "physical.GridHamiltonian._strang_steps",
+        "wigner._half_step",
+        "wigner.wigner_transform",
+    }
 
 
 def test_grid_hamiltonian_carries_no_oracle_or_unread_state(grid16):

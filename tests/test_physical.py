@@ -19,8 +19,6 @@ from qrf.grids import (
     POSITION,
     Grid1D,
     WaveFunction,
-    _centered_fft,
-    _centered_ifft,
     change_representation,
     gaussian_state,
     ho_eigenstate,
@@ -42,6 +40,8 @@ from qrf.physical import (
 
 from oracles import (
     KOutOfRange,
+    allocating_centered_fft,
+    allocating_centered_ifft,
     constraint_surface_amplitude,
     dense_total_momentum,
     fourier_matrix,
@@ -285,9 +285,9 @@ def unfused_strang(h, psi, t, dt):
     full_t = np.exp(-1j * dt * h.kinetic_grid)
     for _ in range(int(round(t / dt))):
         arr *= half_v
-        arr = _centered_fft(_centered_fft(arr, 0), 1)
+        arr = allocating_centered_fft(allocating_centered_fft(arr, 0), 1)
         arr *= full_t
-        arr = _centered_ifft(_centered_ifft(arr, 0), 1)
+        arr = allocating_centered_ifft(allocating_centered_ifft(arr, 0), 1)
         arr *= half_v
     return to_matching(WaveFunction(h.subsystems, arr, POSITION, frame=psi.frame), psi)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -281,6 +282,14 @@ class TestTransformedJoint:
                     1, 1.2, qb, pb
                 )
                 assert slice_value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("field", ["level_a", "level_b", "alpha_a", "alpha_b"])
+    def test_fields_are_frozen(self, field):
+        # validated once, in the constructor; a later assignment would skip it
+        joint = transformed_joint_wigner(0, 1, 0.8, 1.2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(joint, field, -5)
+        assert joint == transformed_joint_wigner(0, 1, 0.8, 1.2)
 
     def test_ground_ground_nonnegative(self):
         joint = transformed_joint_wigner(0, 0, 1.0, 1.0)
