@@ -15,7 +15,8 @@ Units are dimensionless naturals with hbar = 1 and unit masses by default.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +62,37 @@ FRAME_B = FrameLabel(1)
 FRAME_C = FrameLabel(2)
 
 
+def _hold(value, *names: str, dtype=float, copy: bool = True) -> None:
+    """Turn the named fields of a frozen value into read-only ``dtype`` arrays.
+
+    Every qrf value holds its arrays by this one rule.  A public constructor
+    copies what its caller passes in, so the caller's array stays writable
+    and a later write to it does not reach the value.  A result the library
+    has just built, which no caller holds, is adopted in place through
+    ``_adopt`` (``copy=False``), since copying a large grid can cost more
+    than the rest of building the value.  Either way the held arrays are
+    read-only, and the frozen dataclass lets no field be reassigned.
+    """
+    for name in names:
+        arr = getattr(value, name)
+        arr = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(value, name, arr)
+
+
+def _adopt(cls, *values):
+    """A ``cls`` over arrays the library has just built, or views of a value's, uncopied.
+
+    ``values`` are all of the dataclass's fields, in order.  Its
+    ``__post_init__(adopt=True)`` runs the checks such a result still needs.
+    """
+    value = object.__new__(cls)
+    for spec, field_value in zip(fields(cls), values, strict=True):
+        object.__setattr__(value, spec.name, field_value)
+    value.__post_init__(adopt=True)
+    return value
+
+
 @dataclass(frozen=True)
 class ParticleSystem:
     """Particle count and masses.  Unit masses unless configured otherwise."""
@@ -71,33 +103,27 @@ class ParticleSystem:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least two particles, got n={self.n}")
-        masses = self.masses
-        if masses is None:
-            masses = np.ones(self.n)
-        masses = np.asarray(masses, dtype=float)
-        if masses.shape != (self.n,):
-            raise ValueError(f"expected {self.n} masses, got shape {masses.shape}")
-        if not np.all((0 < masses) & (masses < np.inf)):  # NaN fails it
-            raise ValueError(f"all masses must be positive and finite, got {masses}")
-        masses = masses.copy()
-        masses.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
+        if self.masses is None:
+            object.__setattr__(self, "masses", np.ones(self.n))
+        _hold(self, "masses")
+        if self.masses.shape != (self.n,):
+            raise ValueError(f"expected {self.n} masses, got shape {self.masses.shape}")
+        if not np.all((0 < self.masses) & (self.masses < np.inf)):  # NaN fails it
+            raise ValueError(f"all masses must be positive and finite, got {self.masses}")
 
     def check_frame(self, frame: FrameLabel) -> None:
         if frame.index >= self.n:
             raise ValueError(f"frame index {frame.index} out of range for n={self.n}")
 
 
-def _frozen(values, length=None) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d coordinate list, got shape {arr.shape}")
-    if length is not None and arr.shape != (length,):
-        raise ValueError(f"expected length {length}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+def _check_coordinates(q: np.ndarray, p: np.ndarray) -> None:
+    """Positions and momenta must be finite 1-d lists of one length."""
+    if q.ndim != 1 or p.ndim != 1:
+        raise ValueError(f"expected 1-d coordinate lists, got shapes {q.shape} and {p.shape}")
+    if p.shape != q.shape:
+        raise ValueError(f"expected {q.shape[0]} momenta, got {p.shape[0]}")
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise ValueError("coordinates must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -108,10 +134,8 @@ class ExtendedPhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        q = _frozen(self.q)
-        p = _frozen(self.p, length=q.shape[0])
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        _hold(self, "q", "p")
+        _check_coordinates(self.q, self.p)
 
     @property
     def n(self) -> int:
@@ -127,12 +151,10 @@ class ReducedPhasePoint:
     p_rel: np.ndarray
 
     def __post_init__(self):
-        q_rel = _frozen(self.q_rel)
-        p_rel = _frozen(self.p_rel, length=q_rel.shape[0])
-        if self.frame.index > q_rel.shape[0]:
+        _hold(self, "q_rel", "p_rel")
+        _check_coordinates(self.q_rel, self.p_rel)
+        if self.frame.index > self.q_rel.shape[0]:
             raise ValueError("frame index exceeds particle count implied by coordinates")
-        object.__setattr__(self, "q_rel", q_rel)
-        object.__setattr__(self, "p_rel", p_rel)
 
     @property
     def n(self) -> int:
@@ -158,6 +180,7 @@ def _central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Potential:
     """Translation-invariant interaction energy V({q_i - q_j}).
 
@@ -173,10 +196,16 @@ class Potential:
     steps it through its exact one-step propagator.
     """
 
+    _energy: Callable
+    _gradient: Callable | None
+    stiffness: np.ndarray | None
+
     def __init__(self, energy, gradient=None, stiffness=None):
-        self._energy = energy
-        self._gradient = gradient
-        self.stiffness = stiffness
+        object.__setattr__(self, "_energy", energy)
+        object.__setattr__(self, "_gradient", gradient)
+        object.__setattr__(self, "stiffness", stiffness)
+        if stiffness is not None:
+            _hold(self, "stiffness")
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
@@ -218,7 +247,6 @@ def spring_potential(springs) -> Potential:
     for i, j, k in springs:
         stiffness[[i, j], [i, j]] += k
         stiffness[[i, j], [j, i]] -= k
-    stiffness.setflags(write=False)
 
     def energy(q):
         return sum(0.5 * k * (q[i] - q[j]) ** 2 for i, j, k in springs)

@@ -34,6 +34,8 @@ from .classical import (
     Potential,
     ReducedPhasePoint,
     ExtendedPhasePoint,
+    _adopt,
+    _hold,
     frame_map,
     pin_frame,
     spring_potential,
@@ -80,30 +82,27 @@ class OscillatorParams:
         return float(np.sqrt(self.k_b / self.m_b))
 
     def system(self) -> ParticleSystem:
-        return ParticleSystem(3, masses=np.array([self.m_a, self.m_b, self.m_c]))
+        return ParticleSystem(3, masses=[self.m_a, self.m_b, self.m_c])
 
     def potential(self) -> Potential:
         return spring_potential([(2, 0, self.k_a), (2, 1, self.k_b)])
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled reduced-phase-space history at strictly increasing times."""
 
-    def __init__(self, times, q, p, frame: FrameLabel):
-        self.times = np.array(times, dtype=float)
-        self.q = np.array(q, dtype=float)
-        self.p = np.array(p, dtype=float)
-        self._frame = frame
+    times: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    frame: FrameLabel
+
+    def __post_init__(self, adopt: bool = False):
+        _hold(self, "times", "q", "p", copy=not adopt)
         if self.q.shape != self.p.shape or self.q.shape[0] != self.times.shape[0]:
             raise ValueError("inconsistent trajectory shapes")
         if not np.all(np.diff(self.times) > 0):  # NaN fails it
             raise ValueError("times must be strictly increasing")
-        for arr in (self.times, self.q, self.p):
-            arr.setflags(write=False)
-
-    @property
-    def frame(self) -> FrameLabel:
-        return self._frame
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -191,7 +190,8 @@ def integrate_reduced(
         raise InvalidStep(f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    system.check_frame(initial.frame)
+    if initial.n != system.n:
+        raise ValueError(f"initial point has {initial.n} particles, the system {system.n}")
     steps = int(round(t_final / dt))
     sizes = (dt,) if order == 2 else (_YOSHIDA_W1 * dt, _YOSHIDA_W0 * dt, _YOSHIDA_W1 * dt)
     others = np.array(initial.labels, dtype=int)
@@ -201,7 +201,7 @@ def integrate_reduced(
         stiffness = _system_stiffness(potential.stiffness, system.n)
         z0 = np.concatenate([initial.q_rel, initial.p_rel])
         z = _spring_propagator(z0, stiffness[np.ix_(others, others)], drift, sizes, steps)
-        return Trajectory(times, z[:, : len(others)], z[:, len(others) :], initial.frame)
+        return _adopt(Trajectory, times, z[:, : len(others)], z[:, len(others) :], initial.frame)
     pinned = pin_frame(initial.q_rel, initial.frame)  # one buffer; frame slot stays 0
 
     def force(q):
@@ -230,7 +230,7 @@ def integrate_reduced(
         p -= kick
         qs[step + 1] = q
         ps[step + 1] = p
-    return Trajectory(times, qs, ps, initial.frame)
+    return _adopt(Trajectory, times, qs, ps, initial.frame)
 
 
 def _system_stiffness(stiffness, n: int) -> np.ndarray:

@@ -446,7 +446,7 @@ def _run_wigner_study(config: ExperimentConfig, v: dict):
             grids[f"{name}_marginal_{keep}.csv"] = grid
     for file_name, grid in grids.items():
         if not (abs(grid.integral() - 1.0) <= 1e-4):  # NaN fails it
-            raise NumericalFailure(f"{file_name}: Wigner normalization off: {grid.integral():.6f}")
+            raise NumericalFailure(f"{file_name}: Wigner normalization off: {grid.integral():.6e}")
     files = [
         _write_csv(config.output_dir / file_name, ["x", "xi", "w"], _wigner_csv_columns(grid))
         for file_name, grid in grids.items()

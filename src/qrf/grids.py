@@ -19,6 +19,8 @@ Discretization conventions (fixed throughout the library):
   experiment runners treat a violation as a box-adequacy failure.
 
 Wavefunctions are immutable values: every operation returns a new instance.
+How a value holds its arrays is one rule for the whole library, stated at
+``qrf.classical._hold``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import FrameLabel
+from .classical import FrameLabel, _adopt, _hold
 from .errors import AxisClash, GridMismatch, UnknownAxis
 
 POSITION = "position"
@@ -94,6 +96,7 @@ def _along_axis(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return vec.reshape(shape)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class WaveFunction:
     """Complex amplitudes over a tensor product of 1-d grids.
 
@@ -102,31 +105,17 @@ class WaveFunction:
     perspective the state describes.
     """
 
-    __slots__ = ("_subsystems", "_representation", "_amplitudes", "_frame")
+    subsystems: tuple[tuple[str, Grid1D], ...]
+    amplitudes: np.ndarray
+    representation: tuple[str, ...]
+    frame: FrameLabel | None = None
 
-    def __init__(self, subsystems, amplitudes, representation, frame: FrameLabel | None = None):
-        # a copy, so the caller's array stays writable and later writes to it
-        # do not reach the state
-        self._set(subsystems, np.array(amplitudes, dtype=complex), representation, frame)
-
-    @classmethod
-    def _adopt(
-        cls, subsystems, amplitudes, representation, frame: FrameLabel | None = None
-    ) -> "WaveFunction":
-        """A state over an array the library has just made, without copying it.
-
-        For results no caller holds: the array is frozen in place.  Views of
-        another state's (frozen) amplitudes qualify too.
-        """
-        psi = cls.__new__(cls)
-        psi._set(subsystems, np.asarray(amplitudes, dtype=complex), representation, frame)
-        return psi
-
-    def _set(self, subsystems, arr: np.ndarray, representation, frame) -> None:
-        subsystems = tuple((str(label), grid) for label, grid in subsystems)
+    def __post_init__(self, adopt: bool = False):
+        subsystems = tuple((str(label), grid) for label, grid in self.subsystems)
         labels = [label for label, _ in subsystems]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate subsystem labels {labels}")
+        representation = self.representation
         if isinstance(representation, str):
             representation = (representation,) * len(subsystems)
         representation = tuple(representation)
@@ -135,71 +124,54 @@ class WaveFunction:
         for rep in representation:
             if rep not in (POSITION, MOMENTUM):
                 raise ValueError(f"unknown representation {rep!r}")
+        object.__setattr__(self, "subsystems", subsystems)
+        object.__setattr__(self, "representation", representation)
+        _hold(self, "amplitudes", dtype=complex, copy=not adopt)
+        arr = self.amplitudes
         expected = tuple(grid.n for _, grid in subsystems)
         if arr.shape != expected:
             raise ValueError(f"amplitude shape {arr.shape} does not match grids {expected}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
-        arr.setflags(write=False)
-        self._subsystems = subsystems
-        self._representation = representation
-        self._amplitudes = arr
-        self._frame = frame
-
-    @property
-    def subsystems(self):
-        return self._subsystems
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self._subsystems)
-
-    @property
-    def representation(self) -> tuple[str, ...]:
-        return self._representation
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amplitudes
-
-    @property
-    def frame(self) -> FrameLabel | None:
-        return self._frame
+        return tuple(label for label, _ in self.subsystems)
 
     @property
     def ndim(self) -> int:
-        return len(self._subsystems)
+        return len(self.subsystems)
 
     def axis(self, label: str) -> int:
-        for i, (name, _) in enumerate(self._subsystems):
+        for i, (name, _) in enumerate(self.subsystems):
             if name == label:
                 return i
         raise UnknownAxis(f"no axis labelled {label!r} among {self.labels}")
 
     def grid(self, label: str) -> Grid1D:
-        return self._subsystems[self.axis(label)][1]
+        return self.subsystems[self.axis(label)][1]
 
     def rep(self, label: str) -> str:
-        return self._representation[self.axis(label)]
+        return self.representation[self.axis(label)]
 
     def cell_volume(self) -> float:
         volume = 1.0
-        for (_, grid), rep in zip(self._subsystems, self._representation):
+        for (_, grid), rep in zip(self.subsystems, self.representation):
             volume *= grid.cell(rep)
         return volume
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self._amplitudes) ** 2)) * self.cell_volume())
+        return math.sqrt(float(np.sum(np.abs(self.amplitudes) ** 2)) * self.cell_volume())
 
     def normalized(self) -> "WaveFunction":
         norm = self.norm()
         if norm == 0:
             raise ValueError("cannot normalize the zero state")
-        return self._with(self._amplitudes / norm)
+        return self._with(self.amplitudes / norm)
 
     def boundary_ratio(self) -> float:
         """max |amplitude| on the grid boundary over max |amplitude| overall."""
-        magnitude = np.abs(self._amplitudes)
+        magnitude = np.abs(self.amplitudes)
         peak = float(magnitude.max())
         if peak == 0:
             return 0.0
@@ -212,19 +184,20 @@ class WaveFunction:
     def _with(self, amplitudes, representation=None, subsystems=None, frame=None):
         """This state's metadata, except where given, over ``amplitudes``.
 
-        The array is adopted without a copy (see ``_adopt``).
+        The array is adopted without a copy (see ``classical._hold``).
         """
-        return WaveFunction._adopt(
-            subsystems if subsystems is not None else self._subsystems,
+        return _adopt(
+            WaveFunction,
+            subsystems if subsystems is not None else self.subsystems,
             amplitudes,
-            representation if representation is not None else self._representation,
-            frame=frame if frame is not None else self.frame,
+            representation if representation is not None else self.representation,
+            frame if frame is not None else self.frame,
         )
 
     def __repr__(self):
         axes = ", ".join(
             f"{label}:{grid.n}@{rep[:3]}"
-            for (label, grid), rep in zip(self._subsystems, self._representation)
+            for (label, grid), rep in zip(self.subsystems, self.representation)
         )
         tag = f", frame={self.frame.name}" if self.frame is not None else ""
         return f"WaveFunction({axes}{tag})"
@@ -364,7 +337,7 @@ def gaussian_state(
     """Normalized Gaussian exp(-alpha (x - c)^2 / 2 + i k x) on one axis."""
     x = grid.positions()
     amp = np.exp(-0.5 * alpha * (x - center) ** 2 + 1j * momentum * x)
-    psi = WaveFunction._adopt([(label, grid)], amp, POSITION, frame=frame)
+    psi = _adopt(WaveFunction, [(label, grid)], amp, POSITION, frame)
     return psi.normalized()
 
 
@@ -382,7 +355,7 @@ def ho_eigenstate(grid: Grid1D, label: str, level: int, alpha: float = 1.0) -> W
         amp = (alpha / np.pi) ** 0.25 * envelope
     else:
         amp = math.sqrt(2.0) * (alpha**3 / np.pi) ** 0.25 * x * envelope
-    return WaveFunction._adopt([(label, grid)], amp, POSITION).normalized()
+    return _adopt(WaveFunction, [(label, grid)], amp, POSITION, None).normalized()
 
 
 def product_state(
@@ -392,11 +365,12 @@ def product_state(
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("product_state expects single-axis factors")
     amplitudes = np.multiply.outer(a.amplitudes, b.amplitudes)
-    return WaveFunction._adopt(
+    return _adopt(
+        WaveFunction,
         a.subsystems + b.subsystems,
         amplitudes,
         a.representation + b.representation,
-        frame=frame,
+        frame,
     )
 
 
@@ -438,4 +412,4 @@ def random_wavefunction(
             # does not.
             term = term * np.broadcast_to(_along_axis(factor, len(shape), axis), shape).copy()
         total += term
-    return WaveFunction._adopt(subsystems, total, POSITION, frame=frame).normalized()
+    return _adopt(WaveFunction, subsystems, total, POSITION, frame).normalized()

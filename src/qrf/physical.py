@@ -32,7 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .classical import FREE_POTENTIAL, FrameLabel, ParticleSystem, Potential, pin_frame
+from .classical import (
+    FREE_POTENTIAL,
+    FrameLabel,
+    ParticleSystem,
+    Potential,
+    _adopt,
+    _hold,
+    pin_frame,
+)
 from .dynamics import reduced_energy
 from .errors import FrameMismatch, GridMismatch, InvalidStep, SameFrame
 from .grids import (
@@ -104,11 +112,12 @@ def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunct
     skew = as_strided(stacked, (n, n), (row, row + col))  # [i_O, i_R]
     if out_labels[0] == remaining:
         skew = skew.T
-    return WaveFunction._adopt(
+    return _adopt(
+        WaveFunction,
         [(label, grid) for label in out_labels],
         np.ascontiguousarray(skew),
         MOMENTUM,
-        frame=new_frame,
+        new_frame,
     )
 
 
@@ -117,15 +126,18 @@ class PhysicalState:
     """A gauge-invariant state stored through one canonical frame reduction."""
 
     canonical: WaveFunction
-    frame: FrameLabel
 
     def __post_init__(self):
         psi = self.canonical
-        reduction_grid(psi, self.frame)
+        reduction_grid(psi, psi.frame)
         if any(rep != MOMENTUM for rep in psi.representation):
             raise ValueError("canonical amplitudes must be stored in momentum representation")
         if abs(psi.norm() - 1.0) > 1e-9:
             raise ValueError(f"canonical amplitude not normalized: norm={psi.norm():.3e}")
+
+    @property
+    def frame(self) -> FrameLabel:
+        return self.canonical.frame
 
     @property
     def grid(self) -> Grid1D:
@@ -134,15 +146,14 @@ class PhysicalState:
 
 def physical_state(psi: WaveFunction, frame: FrameLabel | None = None) -> PhysicalState:
     """Normalize a two-axis amplitude into a canonical physical state."""
-    frame = frame if frame is not None else psi.frame
     work = to_representation(psi, MOMENTUM).normalized()
-    work = work._with(work.amplitudes, frame=frame)
-    return PhysicalState(work, frame)
+    work = work._with(work.amplitudes, frame=frame)  # frame None keeps psi's tag
+    return PhysicalState(work)
 
 
 def reexpress(state: PhysicalState, new_frame: FrameLabel) -> PhysicalState:
     """The same physical state described relative to another particle."""
-    return PhysicalState(momentum_substitution(state.canonical, new_frame), new_frame)
+    return PhysicalState(momentum_substitution(state.canonical, new_frame))
 
 
 def physical_inner_product(s1: PhysicalState, s2: PhysicalState) -> complex:
@@ -161,6 +172,7 @@ def physical_inner_product(s1: PhysicalState, s2: PhysicalState) -> complex:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class GridHamiltonian:
     """H = T(p) + V(q) applied spectrally on a two-axis grid.
 
@@ -175,10 +187,13 @@ class GridHamiltonian:
     kick of the next merge into one full kick exp(-i V dt).
     """
 
-    def __init__(self, subsystems, kinetic_grid, potential_grid):
-        self.subsystems = tuple(subsystems)
-        self.kinetic_grid = np.asarray(kinetic_grid, dtype=float)
-        self.potential_grid = np.asarray(potential_grid, dtype=float)
+    subsystems: tuple[tuple[str, Grid1D], ...]
+    kinetic_grid: np.ndarray
+    potential_grid: np.ndarray
+
+    def __post_init__(self, adopt: bool = False):
+        object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        _hold(self, "kinetic_grid", "potential_grid", copy=not adopt)
         shape = tuple(grid.n for _, grid in self.subsystems)
         if self.kinetic_grid.shape != shape or self.potential_grid.shape != shape:
             raise ValueError("kinetic/potential grids do not match the subsystem shape")
@@ -219,7 +234,7 @@ class GridHamiltonian:
         if steps == 0:
             return psi
         arr = self._strang_steps(to_representation(psi, POSITION).amplitudes, steps, dt)
-        out = WaveFunction._adopt(self.subsystems, arr, POSITION, frame=psi.frame)
+        out = _adopt(WaveFunction, self.subsystems, arr, POSITION, psi.frame)
         return to_matching(out, psi)
 
     def _strang_steps(self, amplitudes: np.ndarray, steps: int, dt: float) -> np.ndarray:
@@ -275,4 +290,4 @@ def reduced_quantum_hamiltonian(
     positions = np.stack(np.meshgrid(*(grid.positions() for grid in grids), indexing="ij"))
     kinetic_grid = reduced_energy(np.zeros_like(momenta), momenta, frame, FREE_POTENTIAL, system)
     potential_grid = potential(pin_frame(positions, frame))
-    return GridHamiltonian(subsystems, kinetic_grid, potential_grid)
+    return _adopt(GridHamiltonian, subsystems, kinetic_grid, potential_grid)

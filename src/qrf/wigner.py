@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import _adopt, _hold
 from .errors import InvalidDensityMatrix
 from .grids import (
     POSITION,
@@ -69,17 +70,10 @@ class WignerGrid:
     xi: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        xi = np.asarray(self.xi, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (x.shape[0], xi.shape[0]):
+    def __post_init__(self, adopt: bool = False):
+        _hold(self, "x", "xi", "values", copy=not adopt)
+        if self.values.shape != (self.x.shape[0], self.xi.shape[0]):
             raise ValueError("values shape does not match the sample axes")
-        for arr in (x, xi, values):
-            arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "values", values)
 
     @property
     def dx(self) -> float:
@@ -104,6 +98,7 @@ class WignerGrid:
         return float(self.values[i, j])
 
 
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-normalized matrix over a 1-d position grid basis.
 
@@ -111,8 +106,14 @@ class DensityMatrix:
     plain matrix trace.
     """
 
-    def __init__(self, matrix, grid: Grid1D):
-        matrix = np.asarray(matrix, dtype=complex)
+    matrix: np.ndarray
+    grid: Grid1D
+
+    def __post_init__(self, adopt: bool = False):
+        _hold(self, "matrix", dtype=complex, copy=not adopt)
+        if adopt:  # a a^dagger of a normalized state: see the module docstring
+            return
+        matrix, grid = self.matrix, self.grid
         if matrix.shape != (grid.n, grid.n):
             raise InvalidDensityMatrix(
                 f"matrix shape {matrix.shape} does not match the grid size {grid.n}"
@@ -127,24 +128,6 @@ class DensityMatrix:
         eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
         if not (eigenvalues.min() >= -1e-8):
             raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues.min():.3e}")
-        self._set(matrix.copy(), grid)
-
-    @classmethod
-    def _adopt(cls, matrix: np.ndarray, grid: Grid1D) -> "DensityMatrix":
-        """A density matrix over an array the library has just made, unchecked.
-
-        For products a a^dagger of a normalized state's amplitudes, which are
-        positive semidefinite with unit trace by construction, and which no
-        caller holds: the array is frozen in place, not copied.
-        """
-        rho = cls.__new__(cls)
-        rho._set(matrix, grid)
-        return rho
-
-    def _set(self, matrix: np.ndarray, grid: Grid1D) -> None:
-        matrix.setflags(write=False)
-        self.matrix = matrix
-        self.grid = grid
 
     def purity(self) -> float:
         """tr rho^2, as the sum of |rho_ab|^2 (equal for Hermitian rho)."""
@@ -171,14 +154,14 @@ def _kept_first(psi: WaveFunction, ndim: int, keep: str | None = None):
 def density_matrix_from_pure(psi: WaveFunction) -> DensityMatrix:
     """Rank-one density matrix of a single-axis pure state."""
     amp, (grid,) = _kept_first(psi, 1)
-    return DensityMatrix._adopt(np.outer(amp, amp.conj()) * grid.dx, grid)
+    return _adopt(DensityMatrix, np.outer(amp, amp.conj()) * grid.dx, grid)
 
 
 def partial_trace(psi: WaveFunction, keep: str) -> DensityMatrix:
     """Reduced density matrix of one axis of a normalized two-axis pure state."""
     amp, (grid, other_grid) = _kept_first(psi, 2, keep)
     matrix = (amp @ amp.conj().T) * other_grid.dx * grid.dx
-    return DensityMatrix._adopt(matrix, grid)
+    return _adopt(DensityMatrix, matrix, grid)
 
 
 def _half_step(arr: np.ndarray, axis: int, adjoint: bool = False) -> np.ndarray:
@@ -244,7 +227,7 @@ def wigner_transform(rho: DensityMatrix) -> WignerGrid:
     np.fft.fft(chords, axis=1, out=chords)
     values = np.real(chords) * (_alternating(n2) / (2.0 * math.pi))
     xi = (np.arange(n2) - n2 // 2) * (grid.dp / 2.0)
-    return WignerGrid(fine.positions(), xi, values)
+    return _adopt(WignerGrid, fine.positions(), xi, values)
 
 
 def wigner_of_state(psi: WaveFunction) -> WignerGrid:
@@ -274,12 +257,10 @@ def closed_form_eigenstate_wigner(
     if x is None:
         half_width = 5.0 / math.sqrt(min(alpha, 1.0 / alpha))
         x = np.linspace(-half_width, half_width, 121)
-    if xi is None:
-        xi = np.asarray(x, dtype=float) * alpha
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
+    x = np.array(x, dtype=float)  # copies: x and xi may be the caller's
+    xi = x * alpha if xi is None else np.array(xi, dtype=float)
     values = eigenstate_wigner_values(level, alpha, x[:, None], xi[None, :])
-    return WignerGrid(x, xi, values)
+    return _adopt(WignerGrid, x, xi, values)
 
 
 @dataclass(frozen=True)
@@ -333,8 +314,8 @@ def marginal_wigner(
         raise ValueError(f"keep must be 'B' or 'C', got {keep!r}")
     if not isinstance(quad_points, (int, np.integer)) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
-    out_x = np.asarray(x, dtype=float)[:, None]
-    out_xi = np.asarray(xi, dtype=float)[None, :]
+    out_x = np.array(x, dtype=float)[:, None]  # copies: x and xi are the caller's
+    out_xi = np.array(xi, dtype=float)[None, :]
     alpha_a, alpha_b = joint.alpha_a, joint.alpha_b
     # keep B: (u, v) = (q_C, pi_C); keep C: (u, v) = (q_B, pi_B)
     if keep == "B":
@@ -352,7 +333,7 @@ def marginal_wigner(
         v = v_centre + t_v / math.sqrt(s_v)
         point = (out_x, u, out_xi, v) if keep == "B" else (u, out_x, v, out_xi)
         values += (w_u * w_v) * joint(*point)
-    return WignerGrid(out_x[:, 0], out_xi[0], values / math.sqrt(s_u * s_v))
+    return _adopt(WignerGrid, out_x[:, 0], out_xi[0], values / math.sqrt(s_u * s_v))
 
 
 def negativity_volume(w: WignerGrid) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -430,6 +431,18 @@ class TestCommandLine:
         path.write_text(f"kind = wigner-study\nmode = eigenstates\npoints = 41\noutput_dir = {out}\n")
         assert main(["run", str(path)]) == 3
         assert "wigner_excited.csv: Wigner normalization off" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_normalization_error_prints_in_exponent_form(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "study.cfg"
+        path.write_text(
+            "kind = wigner-study\nmode = marginals\nlevel_a = 0\nlevel_b = 0\n"
+            f"alpha_a = 1e300\nalpha_b = 1\noutput_dir = {out}\n"
+        )
+        assert main(["run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"Wigner normalization off: \d\.\d{6}e\+\d+$", err.strip())
         assert not out.exists()
 
     def test_negative_suite_seed_exits_2(self, tmp_path, capsys):

@@ -131,6 +131,14 @@ class TestIntegrateReduced:
         with pytest.raises(InvalidStep):
             integrate_reduced(rp, FREE_POTENTIAL, ParticleSystem(3), t_final, dt)
 
+    @pytest.mark.parametrize("springs", [ENSEMBLE_SPRINGS, None], ids=["spring", "free"])
+    def test_particle_count_must_match_the_system(self, springs):
+        # checked before any arithmetic, on the propagator and the loop alike
+        potential = spring_potential(springs) if springs else FREE_POTENTIAL
+        rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
+        with pytest.raises(ValueError, match="initial point has 3 particles, the system 4"):
+            integrate_reduced(rp, potential, ParticleSystem(4), 1.0, 1e-2)
+
     @pytest.mark.parametrize("t_final", [0.0, 0.004])
     def test_less_than_half_a_step_is_the_initial_point(self, t_final):
         # the loop and the spring propagator, at both orders
@@ -239,9 +247,9 @@ class TestForceReuse:
 
     @pytest.mark.parametrize("order, substeps", [(2, 1), (4, 3)])
     def test_one_gradient_call_per_substep(self, order, substeps):
-        potential = per_spring_potential(ENSEMBLE_SPRINGS)
-        gradient, calls = potential.gradient, []
-        potential.gradient = lambda q: calls.append(None) or gradient(q)
+        # a Potential is frozen, so the counter wraps it in a new one
+        springs, calls = per_spring_potential(ENSEMBLE_SPRINGS), []
+        potential = Potential(springs, gradient=lambda q: calls.append(None) or springs.gradient(q))
         rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
         steps = 50
         integrate_reduced(rp, potential, ParticleSystem(3), steps * 1e-2, 1e-2, order=order)
@@ -289,9 +297,12 @@ class TestSpringPropagator:
         assert_allclose(traj.q, loop.q, rtol=0, atol=1e-14)
         assert_allclose(traj.p, loop.p, rtol=0, atol=1e-14)
 
-    def test_never_calls_the_gradient(self):
+    def test_never_calls_the_gradient(self, monkeypatch):
+        # a Potential is frozen, so the failing force is patched on its class
+        monkeypatch.setattr(
+            Potential, "gradient", lambda self, q: pytest.fail("the propagator evaluated a force")
+        )
         potential = spring_potential(ENSEMBLE_SPRINGS)
-        potential.gradient = lambda q: pytest.fail("the propagator evaluated a force")
         rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
         integrate_reduced(rp, potential, ParticleSystem(3), 1.0, 1e-2, order=4)
 
