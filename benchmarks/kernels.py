@@ -38,13 +38,17 @@ KERNEL is one of:
   ``n<size>-parity-shear`` and ``n<size>-compositional``.  A child runs one
   warm-up call per backend.  It fails when the backend gap 1 - F exceeds
   1e-8.
-* ``csv``: ``experiments._write_csv`` in milliseconds per file, for the
-  ``x,xi,w`` rows of a Wigner grid at ``points`` = 51, 101 and 201 per axis
-  (the fig9 keep-B marginal on its +-6 window; results ``wigner<points>``)
-  and for a 5-column trajectory of 20,001 rows, fig3's shape and values
-  (``trajectory20001``).  A child runs one warm-up write into a temporary
-  directory, then times three more.  It fails unless the file reads back
-  to the written doubles exactly.
+* ``csv``: the CSV writer in milliseconds per file, for the ``x,xi,w`` rows
+  of a Wigner grid at ``points`` = 51, 101 and 201 per axis (the fig9 keep-B
+  marginal on its +-6 window; results ``wigner<points>``), of fig5's
+  121-point ground state on its +-5 window (``ground121``), and for a
+  5-column trajectory of 20,001 rows, fig3's shape and values
+  (``trajectory20001``, ``experiments._write_csv``).  A tree with
+  ``experiments._write_wigner_csv`` writes a Wigner grid through it; a tree
+  without it expands the grid with ``_wigner_csv_columns`` and writes the
+  columns with ``_write_csv``, both inside the timed call.  A child runs one
+  warm-up write into a temporary directory, then times three more.  It
+  fails unless the file reads back to the written doubles exactly.
 * ``classical-switch``: the classical frame switch C -> A in microseconds per
   call, on seeded points: one ``classical_frame_switch`` call (``point``,
   timed over 1000 calls), and a whole trajectory of 378 or 20,001 points
@@ -246,26 +250,37 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import qrf
+from qrf import experiments
 from qrf.dynamics import OscillatorParams, analytic_oscillator_frame_a, analytic_oscillator_frame_c
-from qrf.experiments import _wigner_csv_columns, _write_csv
-from qrf.wigner import marginal_wigner, transformed_joint_wigner
+from qrf.wigner import closed_form_eigenstate_wigner, marginal_wigner, transformed_joint_wigner
 shape = sys.argv[2]
-if shape.startswith("wigner"):
-    x = np.linspace(-6.0, 6.0, int(shape[len("wigner"):]))
-    grid = marginal_wigner(transformed_joint_wigner(1, 1, 1.0, 1.0), "B", x, x)
-    columns, arrays = ["x", "xi", "w"], _wigner_csv_columns(grid)
-else:
+if shape.startswith("trajectory"):
     params = OscillatorParams(m_c=1e8, k_a=1.0, k_b=100.0, phi_b=math.pi / 2)
     times = np.arange(int(shape[len("trajectory"):])) * 1e-3
     arrays = (times, *analytic_oscillator_frame_c(params, times), *analytic_oscillator_frame_a(params, times))
-    columns = ["t", "x_A", "x_B", "q_B", "q_C"]
+    def write(path):
+        experiments._write_csv(path, ["t", "x_A", "x_B", "q_B", "q_C"], arrays)
+else:
+    if shape.startswith("ground"):
+        x = np.linspace(-5.0, 5.0, int(shape[len("ground"):]))
+        grid = closed_form_eigenstate_wigner(0, 1.0, x, x)
+    else:
+        x = np.linspace(-6.0, 6.0, int(shape[len("wigner"):]))
+        grid = marginal_wigner(transformed_joint_wigner(1, 1, 1.0, 1.0), "B", x, x)
+    arrays = (np.repeat(grid.x, grid.xi.shape[0]), np.tile(grid.xi, grid.x.shape[0]), grid.values.ravel())
+    if hasattr(experiments, "_write_wigner_csv"):
+        def write(path):
+            experiments._write_wigner_csv(path, grid)
+    else:
+        def write(path):
+            experiments._write_csv(path, ["x", "xi", "w"], experiments._wigner_csv_columns(grid))
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "data.csv"
-    _write_csv(path, columns, arrays)
+    write(path)
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        _write_csv(path, columns, arrays)
+        write(path)
         best = min(best, time.perf_counter() - start)
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 if not np.array_equal(back, np.column_stack(arrays)):
@@ -360,10 +375,13 @@ KERNELS = {
         series=("parity-shear", "compositional"),
     ),
     "csv": Kernel(
-        "_write_csv time", "ms per file", "", ("wigner51", "wigner101", "wigner201", "trajectory20001"),
+        "CSV writer time", "ms per file", "",
+        ("wigner51", "wigner101", "wigner201", "ground121", "trajectory20001"),
         CSV_CHILD, lambda shape: (shape,),
         {"wigner": "fig9 keep-B marginal, x and xi on [-6, 6]",
-         "trajectory": "fig3: t, x_A, x_B, q_B, q_C at dt = 1e-3"},
+         "ground": "fig5 ground state, alpha = 1, x and xi on [-5, 5]",
+         "trajectory": "fig3: t, x_A, x_B, q_B, q_C at dt = 1e-3",
+         "writer": "_write_wigner_csv where the tree has it, else _wigner_csv_columns then _write_csv"},
     ),
     "classical-switch": Kernel(
         "classical frame switch time", "us per call", "", ("point", "points378", "points20001"),

@@ -93,7 +93,7 @@ def _adopt(cls, *values):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleSystem:
     """Particle count and masses.  Unit masses unless configured otherwise."""
 
@@ -126,7 +126,7 @@ def _check_coordinates(q: np.ndarray, p: np.ndarray) -> None:
         raise ValueError("coordinates must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedPhasePoint:
     """A point (q_1..q_N, p_1..p_N) of the full translation-redundant phase space."""
 
@@ -142,7 +142,7 @@ class ExtendedPhasePoint:
         return self.q.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedPhasePoint:
     """Relative coordinates of the non-frame particles, in ascending label order."""
 

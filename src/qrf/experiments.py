@@ -275,39 +275,48 @@ def _write_csv(path: Path, columns, arrays) -> dict:
     ``%`` formats floats with the same code as ``f"{v:.17g}"``, so one row
     template applied to a chunk of rows gives the same bytes as formatting
     value by value.  Chunks bound the size of each formatted string.
-
-    A Wigner grid repeats most of its values (its x and xi columns are
-    repeated axes), so a chunk in which at most half the values are distinct
-    formats each distinct value once and fills a ``%s`` row template from
-    those strings.  Values are told apart by their int64 bit patterns, not
-    by float equality, so ``0.0`` and ``-0.0`` keep ``0`` and ``-0`` and a
-    NaN matches only its own bits.  Deduplicating the whole file at once
-    was rejected: it holds an index and a string for every value of the
-    file, and a ``figures`` benchmark run peaked at 60 MiB with it against
-    44 MiB chunk by chunk.
     """
     rows = len(arrays[0])
     if len(arrays) != len(columns) or any(len(a) != rows for a in arrays):
         raise ValueError("need one array per CSV column, all of equal length")
     template = ",".join(["%.17g"] * len(columns)) + "\n"
-    text_template = ",".join(["%s"] * len(columns)) + "\n"
     with _create(path) as handle:
         handle.write(",".join(columns) + "\n")
         for start in range(0, rows, _CSV_CHUNK_ROWS):
             chunk = np.column_stack([a[start : start + _CSV_CHUNK_ROWS] for a in arrays])
-            # as float64, so that the key is one int64 bit pattern per value
-            bits = chunk.astype(np.float64, copy=False).view(np.int64).ravel()
-            # a plain sort counts the distinct values at a third of the cost
-            # of np.unique's inverse, which only a repetitive chunk needs
-            ordered = np.sort(bits)
-            if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
-                handle.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
-                continue
-            keys, inverse = np.unique(bits, return_inverse=True)
-            texts = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).split("\n")
-            values = np.array(texts, dtype=object)[inverse]
-            handle.write((text_template * len(chunk)) % tuple(values.tolist()))
+            handle.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
     return {"name": path.name, "rows": rows, "columns": list(columns)}
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """Each value's ``%.17g`` text, formatted once per distinct int64 bit pattern.
+
+    So ``0.0`` and ``-0.0`` keep ``0`` and ``-0``, and a NaN matches only its own bits.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = ("%.17g\n" * len(keys) % tuple(keys.view(np.float64).tolist())).split("\n")
+    return np.array(texts, dtype=object)[inverse.reshape(bits.shape)]
+
+
+def _write_wigner_csv(path: Path, grid) -> dict:
+    """Write a Wigner grid as x-major ``x,xi,w`` rows, every value as ``%.17g``.
+
+    Each distinct x, xi and w value is formatted once per file (``_texts``),
+    and the rows of one x come from one template that already holds x and
+    the xi texts.  The axes stay n texts each, never the n^2 entries of
+    expanded x and xi columns: a whole-file dedup over those columns, which
+    held an index and a string for every entry, raised the peak RSS of a
+    ``figures`` benchmark run from 44 to 60 MiB.
+    """
+    xi_parts = [f",{text},%s\n" for text in _texts(grid.xi)]
+    w = _texts(grid.values)
+    with _create(path) as handle:
+        handle.write("x,xi,w\n")
+        for x_text, row in zip(_texts(grid.x), w):
+            # x before every part: x,xi_0,%s\n x,xi_1,%s\n ...
+            handle.write(x_text.join(["", *xi_parts]) % tuple(row.tolist()))
+    return {"name": path.name, "rows": w.size, "columns": ["x", "xi", "w"]}
 
 
 def _sha256(path: Path) -> str:
@@ -404,15 +413,6 @@ def _run_classical_trajectory(config: ExperimentConfig, v: dict):
     return [entry], None
 
 
-def _wigner_csv_columns(grid):
-    """The (x, xi, w) columns of a Wigner grid, x-major."""
-    return (
-        np.repeat(grid.x, grid.xi.shape[0]),
-        np.tile(grid.xi, grid.x.shape[0]),
-        grid.values.ravel(),
-    )
-
-
 def _run_wigner_study(config: ExperimentConfig, v: dict):
     """Every grid passes every gate before any file is written, so a failed run writes nothing."""
     name, points = v["name"], v["points"]
@@ -448,8 +448,7 @@ def _run_wigner_study(config: ExperimentConfig, v: dict):
         if not (abs(grid.integral() - 1.0) <= 1e-4):  # NaN fails it
             raise NumericalFailure(f"{file_name}: Wigner normalization off: {grid.integral():.6e}")
     files = [
-        _write_csv(config.output_dir / file_name, ["x", "xi", "w"], _wigner_csv_columns(grid))
-        for file_name, grid in grids.items()
+        _write_wigner_csv(config.output_dir / file_name, grid) for file_name, grid in grids.items()
     ]
     return files, None
 

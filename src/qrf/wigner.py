@@ -62,7 +62,7 @@ from .grids import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Real phase-space samples w(x, xi) on a rectangular grid."""
 

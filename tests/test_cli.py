@@ -17,8 +17,8 @@ from qrf.experiments import (
     ExperimentConfig,
     FIGURE_PRESETS,
     _schema,
-    _wigner_csv_columns,
     _write_csv,
+    _write_wigner_csv,
     emit_figure_data,
     figure_config,
     load_config,
@@ -168,10 +168,29 @@ class TestCsvWriter:
         with pytest.raises(ValueError):
             _write_csv(tmp_path / "t.csv", ["a", "b"], arrays)
 
-    def test_wigner_columns_are_x_major(self):
-        grid = WignerGrid(np.arange(3.0), np.arange(4.0) / 8, np.arange(12.0).reshape(3, 4) ** 2)
-        rows = [(x, xi, grid.values[i, j]) for i, x in enumerate(grid.x) for j, xi in enumerate(grid.xi)]
-        assert list(zip(*(c.tolist() for c in _wigner_csv_columns(grid)))) == rows
+    @pytest.mark.parametrize("shape", [(2, 2), (40, 31)], ids=["2x2", "40x31"])
+    def test_wigner_writer_matches_per_value_formatting(self, tmp_path, shape):
+        # exponents from -300 to 300 everywhere; the specials lead both axes,
+        # half of w comes from the pool, w holds both NaN bit patterns, and
+        # its first and last rows hold the same values
+        rng = np.random.default_rng(shape[0])
+
+        def wide(*size):
+            return rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+
+        pool = np.array(self.POOL)
+        x, xi, w = wide(shape[0]), wide(shape[1]), wide(*shape)
+        x[: len(pool)] = pool[: shape[0]]
+        xi[: len(pool)] = pool[::-1][: shape[1]]
+        repeated = rng.random(shape) < 0.5
+        w[repeated] = rng.choice(pool, np.count_nonzero(repeated))
+        w.flat[:2] = math.nan, -math.nan
+        w[-1] = w[0]
+        assert np.unique(w[0, :2].view(np.int64)).size == 2
+        entry = _write_wigner_csv(tmp_path / "t.csv", WignerGrid(x, xi, w))
+        rows = [(x[i], xi[j], w[i, j]) for i in range(shape[0]) for j in range(shape[1])]
+        assert (tmp_path / "t.csv").read_bytes() == per_value_csv(["x", "xi", "w"], rows)
+        assert entry == {"name": "t.csv", "rows": w.size, "columns": ["x", "xi", "w"]}
 
 
 class TestRunExperiment:

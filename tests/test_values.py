@@ -103,7 +103,7 @@ def _potential():
     return potential, ("stiffness",), [stiffness], [potential.stiffness]
 
 
-@pytest.mark.parametrize(
+BUILDERS = pytest.mark.parametrize(
     "build",
     [
         _wave_function,
@@ -121,6 +121,9 @@ def _potential():
     ],
     ids=lambda build: build.__name__.lstrip("_"),
 )
+
+
+@BUILDERS
 def test_value_is_frozen_and_owns_its_arrays(build):
     value, fields, callers, held = build()
     for name in fields:
@@ -133,3 +136,13 @@ def test_value_is_frozen_and_owns_its_arrays(build):
         arr[...] = 99.0
     for arr, copy in zip(held, before):
         assert np.array_equal(arr, copy)
+
+
+@BUILDERS
+def test_value_compares_by_identity_and_hashes(build):
+    # comparing array fields elementwise would raise, or say nothing useful
+    value, twin = build()[0], build()[0]
+    assert value == value
+    assert value != twin
+    assert hash(value) == hash(value)
+    assert len({value, twin}) == 2
