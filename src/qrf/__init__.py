@@ -1,7 +1,7 @@
 """Reference frames as physical particles in 1D: classical reductions, quantum
 frame switches, and phase-space analysis on spectral grids."""
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 from .classical import (
     FRAME_A,

@@ -426,18 +426,17 @@ def _run_wigner_study(config: ExperimentConfig, v: dict):
             }
     else:  # marginals
         alpha_a, alpha_b = v["alpha_a"], v["alpha_b"]
-        with _config_values(config.kind):
-            joint = transformed_joint_wigner(v["level_a"], v["level_b"], alpha_a, alpha_b)
-        sigma = 1.0 / math.sqrt(min(alpha_a, alpha_b))
-        sigma_p = math.sqrt(max(alpha_a, alpha_b))
-        x = np.linspace(-6.0 * sigma, 6.0 * sigma, points)
-        xi = np.linspace(-6.0 * sigma_p, 6.0 * sigma_p, points)
         grids = {}
-        for keep in ("B", "C"):
-            grid = marginal_wigner(joint, keep, x, xi, quad_points=3)
+        with _config_values(config.kind):  # e.g. a width whose window overflows when squared
+            joint = transformed_joint_wigner(v["level_a"], v["level_b"], alpha_a, alpha_b)
+            sigma = 1.0 / math.sqrt(min(alpha_a, alpha_b))
+            sigma_p = math.sqrt(max(alpha_a, alpha_b))
+            x = np.linspace(-6.0 * sigma, 6.0 * sigma, points)
+            xi = np.linspace(-6.0 * sigma_p, 6.0 * sigma_p, points)
+            pairs = {k: [marginal_wigner(joint, k, x, xi, n) for n in (3, 5)] for k in "BC"}
+        for keep, (grid, finer) in pairs.items():
             # pointwise, which the normalization is not: 3 and 5 nodes agree
             # to rounding only where both rules are exact
-            finer = marginal_wigner(joint, keep, x, xi, quad_points=5)
             gap = float(np.max(np.abs(finer.values - grid.values)))
             if not (gap <= 1e-12 * float(np.max(np.abs(grid.values)))):  # NaN fails it
                 raise NumericalFailure(

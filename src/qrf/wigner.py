@@ -25,11 +25,10 @@ constructor's checks.
 
 Closed forms for the oscillator eigenstate Wigner functions,
 
-    f0 = 1/pi exp(-a x^2) exp(-xi^2 / a),
-    f1 = 1/pi (2 a x^2 + 2 xi^2 / a - 1) exp(-a x^2) exp(-xi^2 / a),
+    f = 1/pi (a + b alpha x^2 + c xi^2 / alpha) exp(-alpha x^2) exp(-xi^2 / alpha),
 
-serve as golden references, and the frame-switched two-particle Wigner
-function is the product
+with (a, b, c) = (1, 0, 0) at level 0 and (-1, 2, 2) at level 1, are golden
+references, and the frame-switched two-particle Wigner function is the product
 
     f(q_B, q_C, pi_B, pi_C) = f_A(-q_C, -pi_B - pi_C) * f_B(q_B - q_C, pi_B),
 
@@ -40,11 +39,15 @@ degree at most 4, so with nodes centred and scaled on that Gaussian the n-node
 rule, exact to degree 2n - 1, is exact from n = 3.  A trapezoid rule on a
 fixed window aliases instead, and its error integrates to zero, which no
 normalization check can see (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+The tensor rule separates exactly.  Position arguments are linear in (x, u)
+and momenta in (xi, v), the nodes of u are centred by x and those of v by xi,
+and pi f = (a + b alpha q^2) e_q * e_p + e_q * (c p^2 / alpha) e_p per factor.
+So the joint is four products C(x; u) R(xi; v), and each double node sum is
+(sum_u w_u C)(x) (sum_v w_v R)(xi), from points * nodes evaluations per axis.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -235,19 +238,29 @@ def wigner_of_state(psi: WaveFunction) -> WignerGrid:
     return wigner_transform(density_matrix_from_pure(psi))
 
 
+_EIGENSTATE_POLYNOMIALS = {0: (1.0, 0.0, 0.0), 1: (-1.0, 2.0, 2.0)}
+
+
 def eigenstate_wigner_values(level: int, alpha: float, x, xi) -> np.ndarray:
     """Closed-form oscillator Wigner function on a sample mesh (broadcasts)."""
-    if level not in (0, 1):
+    if level not in _EIGENSTATE_POLYNOMIALS:
         raise ValueError(f"only levels 0 and 1 are provided, got {level}")
     # written so that NaN fails it
     if not (0 < alpha < math.inf):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    a, b, c = _EIGENSTATE_POLYNOMIALS[level]
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     envelope = np.exp(-alpha * x**2) * np.exp(-(xi**2) / alpha)
-    if level == 0:
-        return envelope / math.pi
-    return (2 * alpha * x**2 + 2 * xi**2 / alpha - 1.0) * envelope / math.pi
+    return (b * alpha * x**2 + c * xi**2 / alpha + a) * envelope / math.pi
+
+
+def _separated_eigenstate(level: int, alpha: float, q, p):
+    """pi times the closed form as two products: position terms (2, ...) and momentum terms."""
+    a, b, c = _EIGENSTATE_POLYNOMIALS[level]
+    e_q = np.exp(-alpha * q**2)
+    e_p = np.exp(-(p**2) / alpha)
+    return np.stack(((b * alpha * q**2 + a) * e_q, e_q)), np.stack((e_p, c * p**2 / alpha * e_p))
 
 
 def closed_form_eigenstate_wigner(
@@ -278,7 +291,7 @@ class TransformedJointWigner:
 
     def __post_init__(self):
         for level in (self.level_a, self.level_b):
-            if level not in (0, 1):
+            if level not in _EIGENSTATE_POLYNOMIALS:
                 raise ValueError("levels must be 0 or 1")
         # written so that NaN fails it
         if not (0 < self.alpha_a < math.inf and 0 < self.alpha_b < math.inf):
@@ -308,14 +321,14 @@ def marginal_wigner(
     ``keep`` selects particle "B" or "C".  At each output point, the
     ``quad_points`` Gauss-Hermite nodes per integrated axis are centred and
     scaled on the integrand's Gaussian in the discarded pair (u, v), whose
-    precisions are s_u and s_v; the rule is exact from 3 nodes.
+    precisions are s_u and s_v; the rule, exact from 3 nodes, separates per axis.
     """
     if keep not in ("B", "C"):
         raise ValueError(f"keep must be 'B' or 'C', got {keep!r}")
     if not isinstance(quad_points, (int, np.integer)) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
     out_x = np.array(x, dtype=float)[:, None]  # copies: x and xi are the caller's
-    out_xi = np.array(xi, dtype=float)[None, :]
+    out_xi = np.array(xi, dtype=float)[:, None]
     alpha_a, alpha_b = joint.alpha_a, joint.alpha_b
     # keep B: (u, v) = (q_C, pi_C); keep C: (u, v) = (q_B, pi_B)
     if keep == "B":
@@ -326,14 +339,16 @@ def marginal_wigner(
         u_centre, v_centre = out_x, -(out_xi / alpha_a) / s_v
     nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
     weights = weights * np.exp(nodes**2)
-    # one (len(x), len(xi)) joint evaluation per node pair
-    values = np.zeros((out_x.shape[0], out_xi.shape[1]))
-    for (t_u, w_u), (t_v, w_v) in itertools.product(zip(nodes, weights), repeat=2):
-        u = u_centre + t_u / math.sqrt(s_u)
-        v = v_centre + t_v / math.sqrt(s_v)
-        point = (out_x, u, out_xi, v) if keep == "B" else (u, out_x, v, out_xi)
-        values += (w_u * w_v) * joint(*point)
-    return _adopt(WignerGrid, out_x[:, 0], out_xi[0], values / math.sqrt(s_u * s_v))
+    # (points, nodes) tables: u and the position arguments along x, v and the momenta along xi
+    u = u_centre + nodes / math.sqrt(s_u)
+    v = v_centre + nodes / math.sqrt(s_v)
+    q_b, q_c, pi_b, pi_c = (out_x, u, out_xi, v) if keep == "B" else (u, out_x, v, out_xi)
+    pos_a, mom_a = _separated_eigenstate(joint.level_a, alpha_a, -q_c, -(pi_b + pi_c))
+    pos_b, mom_b = _separated_eigenstate(joint.level_b, alpha_b, q_b - q_c, pi_b)
+    pos = ((pos_a[:, None] * pos_b[None]) @ weights).reshape(4, -1)
+    mom = ((mom_a[:, None] * mom_b[None]) @ weights).reshape(4, -1)
+    values = (pos.T @ mom) / (math.pi**2 * math.sqrt(s_u * s_v))
+    return _adopt(WignerGrid, out_x[:, 0], out_xi[:, 0], values)
 
 
 def negativity_volume(w: WignerGrid) -> float:

@@ -30,14 +30,18 @@ that allocate a fresh array per step.  The Wigner transform
 has two earlier forms, which agree with each other byte for byte and with the
 production transform to rounding: the full doubled-box chord table gathered
 through modulo index grids, and the same table read through one strided
-view.  The exact Gaussian reference for the frame-switched product ground
-state (its covariance matrix, reduced entropy and purity) closes the module.
+view.  ``tensor_marginal`` is the marginal quadrature's earlier form, one
+joint evaluation on the whole output grid per node pair, which the separable
+production rule matches to rounding.  The exact Gaussian reference for the
+frame-switched product ground state (its covariance matrix, reduced entropy
+and purity) closes the module.
 Test modules import it as ``oracles``: pytest puts this directory on
 ``sys.path``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -695,6 +699,34 @@ def strided_wigner_transform(rho: DensityMatrix) -> WignerGrid:
     chords[:, n2 // 2 : n2 // 2 + n2] = band
     return _doubled_box_wigner(rho, chords)
 
+
+def tensor_marginal(joint, keep: str, x, xi, quad_points: int) -> WignerGrid:
+    """The tensor Gauss-Hermite marginal node pair by node pair.
+
+    The rule ``qrf.wigner.marginal_wigner`` evaluates through its separable
+    form: here each of the quad_points^2 node pairs evaluates the 4-d joint on
+    the whole (len(x), len(xi)) output grid, with the same nodes, centres and
+    weights.
+    """
+    out_x = np.array(x, dtype=float)[:, None]
+    out_xi = np.array(xi, dtype=float)[None, :]
+    alpha_a, alpha_b = joint.alpha_a, joint.alpha_b
+    # keep B: (u, v) = (q_C, pi_C); keep C: (u, v) = (q_B, pi_B)
+    if keep == "B":
+        s_u, s_v = alpha_a + alpha_b, 1.0 / alpha_a
+        u_centre, v_centre = alpha_b * out_x / s_u, -out_xi
+    else:
+        s_u, s_v = alpha_b, 1.0 / alpha_a + 1.0 / alpha_b
+        u_centre, v_centre = out_x, -(out_xi / alpha_a) / s_v
+    nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
+    weights = weights * np.exp(nodes**2)
+    values = np.zeros((out_x.shape[0], out_xi.shape[1]))
+    for (t_u, w_u), (t_v, w_v) in itertools.product(zip(nodes, weights), repeat=2):
+        u = u_centre + t_u / math.sqrt(s_u)
+        v = v_centre + t_v / math.sqrt(s_v)
+        point = (out_x, u, out_xi, v) if keep == "B" else (u, out_x, v, out_xi)
+        values += (w_u * w_v) * joint(*point)
+    return WignerGrid(out_x[:, 0], out_xi[0], values / math.sqrt(s_u * s_v))
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian reference for perspective-dependent entanglement

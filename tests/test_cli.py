@@ -142,8 +142,11 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("rows", [1, 1024, 1025, 2049])
     def test_repeated_values_match_per_value_formatting(self, tmp_path, rows):
-        # pool values everywhere but the second chunk, whose values are all
-        # distinct: a file of 1025 rows or more writes chunks of both kinds
+        # the row template over 1024-row chunks must not depend on the
+        # values: pool values (signed zeros, both NaN bit patterns, the
+        # infinities) repeat within and across chunks, except in rows
+        # 1024..2047, whose values are all distinct, and the row counts sit
+        # on either side of each chunk boundary
         rng = np.random.default_rng(rows)
         columns = ["a", "b", "c", "d", "e", "f"]
         data = rng.choice(np.array(self.POOL), (len(columns), rows))
@@ -322,6 +325,10 @@ class TestCommandLine:
             trajectory_config(name=".."),
             # omega_a ** 2 overflows the float range
             trajectory_config(omega_a="1e300"),
+            # a +-6e154 position (1e-308) or momentum (1e308) marginal window
+            # overflows when squared; it used to exit 3 on a NaN node gap
+            MARGINALS.replace("alpha_a = 1", "alpha_a = 1e-308").format(level_a="1", level_b="1"),
+            MARGINALS.replace("alpha_a = 1", "alpha_a = 1e308").format(level_a="1", level_b="1"),
             # sizes whose n^2 arrays would not fit in memory
             "kind = invariant-suite\ngrid_n = 1048576\n",
             "kind = wigner-study\nmode = eigenstates\npoints = 1000000\n",
@@ -337,6 +344,7 @@ class TestCommandLine:
             "eigenstates-level_a", "eigenstates-alpha_a", "mode-unknown",
             "a0-bool", "t_final-bool", "alpha_a-bool", "grid_length-bool",
             "name-slash", "name-dotdot", "omega_a-overflow",
+            "alpha_a-tiny-overflow", "alpha_a-huge-overflow",
             "grid_n-over-cap", "points-over-cap",
         ],
     )

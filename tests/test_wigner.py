@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -34,7 +35,12 @@ from qrf.wigner import (
     wigner_transform,
 )
 
-from oracles import gather_wigner_transform, strided_wigner_transform, switched_ground_reduction
+from oracles import (
+    gather_wigner_transform,
+    strided_wigner_transform,
+    switched_ground_reduction,
+    tensor_marginal,
+)
 
 # negativity of the first excited eigenstate's Wigner function; quadrature
 # value, cross-checked against the closed contour integral 2 exp(-1/2) - 1
@@ -342,6 +348,22 @@ class TestMarginals:
                         assert gap <= 1e-13 * np.max(np.abs(expected)), (
                             level_a, level_b, alpha_a, alpha_b, keep, gap
                         )
+
+    @pytest.mark.parametrize("quad_points", [1, 3, 5])
+    @pytest.mark.parametrize("alphas", [(0.1, 1.0), (1.0, 1.0), (0.4, 2.5), (3.0, 0.2)])
+    def test_matches_node_pair_rule(self, alphas, quad_points):
+        # the per-axis node sums against the same rule evaluated one joint
+        # call per node pair, on unequal, asymmetric output axes
+        x = np.linspace(-7.0, 6.0, 31)
+        xi = np.linspace(-4.5, 5.0, 23)
+        for level_a, level_b, keep in itertools.product((0, 1), (0, 1), ("B", "C")):
+            joint = transformed_joint_wigner(level_a, level_b, *alphas)
+            expected = tensor_marginal(joint, keep, x, xi, quad_points)
+            got = marginal_wigner(joint, keep, x, xi, quad_points)
+            assert np.array_equal(got.x, x) and np.array_equal(got.xi, xi)
+            assert got.values.shape == (x.shape[0], xi.shape[0])
+            gap = np.max(np.abs(got.values - expected.values))
+            assert gap <= 1e-14 * np.max(np.abs(expected.values)), (level_a, level_b, keep, gap)
 
     @pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8", "fig9"])
     def test_figure_csvs_match_trapezoid_oracle(self, tmp_path, figure):
