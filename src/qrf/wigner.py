@@ -28,22 +28,22 @@ Closed forms for the oscillator eigenstate Wigner functions,
     f = 1/pi (a + b alpha x^2 + c xi^2 / alpha) exp(-alpha x^2) exp(-xi^2 / alpha),
 
 with (a, b, c) = (1, 0, 0) at level 0 and (-1, 2, 2) at level 1, are golden
-references, and the frame-switched two-particle Wigner function is the product
-
-    f(q_B, q_C, pi_B, pi_C) = f_A(-q_C, -pi_B - pi_C) * f_B(q_B - q_C, pi_B),
-
-whose marginals integrate out the discarded particle's pair by tensor
-Gauss-Hermite quadrature (Golub & Welsch, Math. Comp. 23, 221 (1969)).  Along
-each discarded variable the integrand is a Gaussian times a polynomial of
-degree at most 4, so with nodes centred and scaled on that Gaussian the n-node
-rule, exact to degree 2n - 1, is exact from n = 3.  A trapezoid rule on a
-fixed window aliases instead, and its error integrates to zero, which no
-normalization check can see (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
-The tensor rule separates exactly.  Position arguments are linear in (x, u)
-and momenta in (xi, v), the nodes of u are centred by x and those of v by xi,
-and pi f = (a + b alpha q^2) e_q * e_p + e_q * (c p^2 / alpha) e_p per factor.
-So the joint is four products C(x; u) R(xi; v), and each double node sum is
-(sum_u w_u C)(x) (sum_v w_v R)(xi), from points * nodes evaluations per axis.
+references.  A frame change is a linear canonical map S, and Wigner functions
+are covariant under such maps, W'(z) = W(S^-1 z) (Littlejohn, Phys. Rep. 138,
+193 (1986)): seen from another frame, a product state's Wigner function is its
+two factors' product at frame_map(q, p, new, old).  Its marginals integrate out
+the discarded pair (u, v) by tensor Gauss-Hermite quadrature (Golub & Welsch,
+Math. Comp. 23, 221 (1969)).  Along each discarded variable the integrand is a
+Gaussian times a polynomial of degree at most 4, so with nodes centred and
+scaled on that Gaussian the n-node rule, exact to degree 2n - 1, is exact from
+n = 3.  A trapezoid rule on a fixed window aliases instead, and its error
+integrates to zero, which no normalization check can see (Trefethen & Weideman,
+SIAM Rev. 56, 385 (2014)).  With frame_map's blocks Q and P in columns (kept,
+discarded), the precisions are G_q = Q^T diag(alpha) Q and G_p = P^T diag(1/alpha) P,
+so u is centred at -x G_dk / G_dd and v at -xi G_dk / G_dd.  The blocks never
+mix q and p, and pi f = (a + b alpha q^2) e_q * e_p + e_q * (c p^2 / alpha) e_p
+per factor, so the joint is four products C(x; u) R(xi; v), and each double node
+sum is (sum_u w_u C)(x) (sum_v w_v R)(xi), from points * nodes evaluations per axis.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _adopt, _hold
+from .classical import FRAME_A, FRAME_C, _adopt, _hold, frame_map
 from .errors import InvalidDensityMatrix
 from .grids import (
     POSITION,
@@ -63,6 +63,7 @@ from .grids import (
     _along_axis,
     to_representation,
 )
+from .physical import reduced_labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,13 +242,17 @@ def wigner_of_state(psi: WaveFunction) -> WignerGrid:
 _EIGENSTATE_POLYNOMIALS = {0: (1.0, 0.0, 0.0), 1: (-1.0, 2.0, 2.0)}
 
 
-def eigenstate_wigner_values(level: int, alpha: float, x, xi) -> np.ndarray:
-    """Closed-form oscillator Wigner function on a sample mesh (broadcasts)."""
+def _check_eigenstate(level: int, alpha: float) -> None:
     if level not in _EIGENSTATE_POLYNOMIALS:
         raise ValueError(f"only levels 0 and 1 are provided, got {level}")
     # written so that NaN fails it
     if not (0 < alpha < math.inf):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def eigenstate_wigner_values(level: int, alpha: float, x, xi) -> np.ndarray:
+    """Closed-form oscillator Wigner function on a sample mesh (broadcasts)."""
+    _check_eigenstate(level, alpha)
     a, b, c = _EIGENSTATE_POLYNOMIALS[level]
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -267,6 +272,7 @@ def closed_form_eigenstate_wigner(
     level: int, alpha: float, x=None, xi=None
 ) -> WignerGrid:
     """Sample the closed-form eigenstate Wigner function on a grid."""
+    _check_eigenstate(level, alpha)  # before the default window divides by alpha
     if x is None:
         half_width = 5.0 / math.sqrt(min(alpha, 1.0 / alpha))
         x = np.linspace(-half_width, half_width, 121)
@@ -278,10 +284,10 @@ def closed_form_eigenstate_wigner(
 
 @dataclass(frozen=True)
 class TransformedJointWigner:
-    """Lazy 4-d Wigner function of a frame-switched two-oscillator product state.
+    """The 4-d Wigner function of a frame-C product of two oscillators, seen from frame A.
 
-    Arguments follow (q_B, q_C, pi_B, pi_C); the object is a callable that
-    broadcasts over its inputs.
+    Fields ``_a`` and ``_b`` are the factors of particles A and B, frame C's
+    reduction; ``tests/oracles.py::joint_wigner`` evaluates it pointwise.
     """
 
     level_a: int
@@ -290,23 +296,18 @@ class TransformedJointWigner:
     alpha_b: float
 
     def __post_init__(self):
-        for level in (self.level_a, self.level_b):
-            if level not in _EIGENSTATE_POLYNOMIALS:
-                raise ValueError("levels must be 0 or 1")
-        # written so that NaN fails it
-        if not (0 < self.alpha_a < math.inf and 0 < self.alpha_b < math.inf):
-            raise ValueError("width parameters must be positive and finite")
-
-    def __call__(self, q_b, q_c, pi_b, pi_c) -> np.ndarray:
-        q_b, q_c, pi_b, pi_c = (np.asarray(v) for v in (q_b, q_c, pi_b, pi_c))
-        f_a = eigenstate_wigner_values(self.level_a, self.alpha_a, -q_c, -(pi_b + pi_c))
-        return f_a * eigenstate_wigner_values(self.level_b, self.alpha_b, q_b - q_c, pi_b)
+        _check_eigenstate(self.level_a, self.alpha_a)
+        _check_eigenstate(self.level_b, self.alpha_b)
 
 
 def transformed_joint_wigner(
     level_a: int, level_b: int, alpha_a: float, alpha_b: float
 ) -> TransformedJointWigner:
     return TransformedJointWigner(level_a, level_b, alpha_a, alpha_b)
+
+
+# frame_map's blocks from frame A to frame C: rows the factors (A, B), columns frame A's (B, C)
+_BLOCKS = frame_map(np.eye(2), np.eye(2), FRAME_A, FRAME_C)
 
 
 def marginal_wigner(
@@ -318,36 +319,34 @@ def marginal_wigner(
 ) -> WignerGrid:
     """Integrate the joint Wigner function over the discarded particle's pair.
 
-    ``keep`` selects particle "B" or "C".  At each output point, the
-    ``quad_points`` Gauss-Hermite nodes per integrated axis are centred and
-    scaled on the integrand's Gaussian in the discarded pair (u, v), whose
-    precisions are s_u and s_v; the rule, exact from 3 nodes, separates per axis.
+    ``keep`` is "B" or "C", a particle of frame A's reduction.  The
+    ``quad_points`` Gauss-Hermite nodes per integrated axis sit on the
+    integrand's Gaussian in (u, v) (module docstring); exact from 3 nodes, it separates.
     """
-    if keep not in ("B", "C"):
-        raise ValueError(f"keep must be 'B' or 'C', got {keep!r}")
+    labels = reduced_labels(FRAME_A)
+    if keep not in labels:
+        raise ValueError(f"keep must be {labels[0]!r} or {labels[1]!r}, got {keep!r}")
     if not isinstance(quad_points, (int, np.integer)) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
     out_x = np.array(x, dtype=float)[:, None]  # copies: x and xi are the caller's
     out_xi = np.array(xi, dtype=float)[:, None]
-    alpha_a, alpha_b = joint.alpha_a, joint.alpha_b
-    # keep B: (u, v) = (q_C, pi_C); keep C: (u, v) = (q_B, pi_B)
-    if keep == "B":
-        s_u, s_v = alpha_a + alpha_b, 1.0 / alpha_a
-        u_centre, v_centre = alpha_b * out_x / s_u, -out_xi
-    else:
-        s_u, s_v = alpha_b, 1.0 / alpha_a + 1.0 / alpha_b
-        u_centre, v_centre = out_x, -(out_xi / alpha_a) / s_v
+    k = labels.index(keep)  # the blocks' columns in (kept, discarded) order
+    q_block, p_block = (block[:, [k, 1 - k]] for block in _BLOCKS)
+    alphas = np.array([joint.alpha_a, joint.alpha_b])
+    g_q = q_block.T @ (alphas[:, None] * q_block)
+    g_p = p_block.T @ (p_block / alphas[:, None])
     nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
     weights = weights * np.exp(nodes**2)
-    # (points, nodes) tables: u and the position arguments along x, v and the momenta along xi
-    u = u_centre + nodes / math.sqrt(s_u)
-    v = v_centre + nodes / math.sqrt(s_v)
-    q_b, q_c, pi_b, pi_c = (out_x, u, out_xi, v) if keep == "B" else (u, out_x, v, out_xi)
-    pos_a, mom_a = _separated_eigenstate(joint.level_a, alpha_a, -q_c, -(pi_b + pi_c))
-    pos_b, mom_b = _separated_eigenstate(joint.level_b, alpha_b, q_b - q_c, pi_b)
+    # (points, nodes) tables along x and xi: u and v, then factor j's Q_j (x, u) and P_j (xi, v)
+    u = -(out_x * g_q[0, 1]) / g_q[1, 1] + nodes / math.sqrt(g_q[1, 1])
+    v = -(out_xi * g_p[0, 1]) / g_p[1, 1] + nodes / math.sqrt(g_p[1, 1])
+    q_args = np.multiply.outer(q_block[:, 0], out_x) + np.multiply.outer(q_block[:, 1], u)
+    p_args = np.multiply.outer(p_block[:, 0], out_xi) + np.multiply.outer(p_block[:, 1], v)
+    levels = (joint.level_a, joint.level_b)
+    (pos_a, mom_a), (pos_b, mom_b) = map(_separated_eigenstate, levels, alphas, q_args, p_args)
     pos = ((pos_a[:, None] * pos_b[None]) @ weights).reshape(4, -1)
     mom = ((mom_a[:, None] * mom_b[None]) @ weights).reshape(4, -1)
-    values = (pos.T @ mom) / (math.pi**2 * math.sqrt(s_u * s_v))
+    values = (pos.T @ mom) / (math.pi**2 * math.sqrt(g_q[1, 1] * g_p[1, 1]))
     return _adopt(WignerGrid, out_x[:, 0], out_xi[:, 0], values)
 
 

@@ -30,11 +30,12 @@ that allocate a fresh array per step.  The Wigner transform
 has two earlier forms, which agree with each other byte for byte and with the
 production transform to rounding: the full doubled-box chord table gathered
 through modulo index grids, and the same table read through one strided
-view.  ``tensor_marginal`` is the marginal quadrature's earlier form, one
-joint evaluation on the whole output grid per node pair, which the separable
-production rule matches to rounding.  The exact Gaussian reference for the
-frame-switched product ground state (its covariance matrix, reduced entropy
-and purity) closes the module.
+view.  ``joint_wigner`` evaluates the frame-switched product state's 4-d
+Wigner function pointwise, through ``frame_map``.  ``tensor_marginal`` is the
+marginal quadrature's earlier form, one such evaluation on the whole output
+grid per node pair, which the separable production rule matches to rounding.
+The exact Gaussian reference for the frame-switched product ground state (its
+covariance matrix, reduced entropy and purity) closes the module.
 Test modules import it as ``oracles``: pytest puts this directory on
 ``sys.path``.
 """
@@ -49,6 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from qrf.classical import (
+    FRAME_A,
     FRAME_C,
     FrameLabel,
     Potential,
@@ -60,7 +62,7 @@ from qrf.errors import QRFError
 from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, to_representation
 from qrf.observables import Observable
 from qrf.physical import GridHamiltonian, PhysicalState, reduced_labels
-from qrf.wigner import DensityMatrix, WignerGrid, _half_step
+from qrf.wigner import DensityMatrix, WignerGrid, _half_step, eigenstate_wigner_values
 
 MAX_DENSE_DIM = 4096
 
@@ -700,33 +702,59 @@ def strided_wigner_transform(rho: DensityMatrix) -> WignerGrid:
     return _doubled_box_wigner(rho, chords)
 
 
+def joint_wigner(joint, q, p) -> np.ndarray:
+    """A ``TransformedJointWigner`` at frame-A points, W(S^-1 z), through ``frame_map``.
+
+    ``q`` = (q_B, q_C) and ``p`` = (pi_B, pi_C) broadcast together.  The rows of
+    ``frame_map(eye, eye, FRAME_A, FRAME_C)``'s blocks give the frame-C
+    arguments of the factors A and B.  An argument sums only the coordinates
+    with a nonzero entry, so it keeps their broadcast shape alone.
+    """
+    blocks = frame_map(np.eye(2), np.eye(2), FRAME_A, FRAME_C)
+    (q_a, q_b), (p_a, p_b) = (
+        [sum(c * z for c, z in zip(row, coords) if c) for row in block]
+        for block, coords in zip(blocks, (q, p))
+    )
+    f_a = eigenstate_wigner_values(joint.level_a, joint.alpha_a, q_a, p_a)
+    return f_a * eigenstate_wigner_values(joint.level_b, joint.alpha_b, q_b, p_b)
+
+
+def in_frame_order(keep: str, kept, discarded) -> tuple:
+    """The kept and the discarded coordinate in frame A's (B, C) order."""
+    return (kept, discarded) if keep == reduced_labels(FRAME_A)[0] else (discarded, kept)
+
+
 def tensor_marginal(joint, keep: str, x, xi, quad_points: int) -> WignerGrid:
     """The tensor Gauss-Hermite marginal node pair by node pair.
 
     The rule ``qrf.wigner.marginal_wigner`` evaluates through its separable
     form: here each of the quad_points^2 node pairs evaluates the 4-d joint on
-    the whole (len(x), len(xi)) output grid, with the same nodes, centres and
-    weights.
+    the whole (len(x), len(xi)) output grid through ``joint_wigner``, with the
+    same nodes and weights.  The discarded pair's Gaussian has the precision
+    matrices Q^T diag(alpha) Q and P^T diag(1/alpha) P, from the blocks of
+    ``frame_map`` with columns (kept, discarded), and the conditional means.
     """
     out_x = np.array(x, dtype=float)[:, None]
     out_xi = np.array(xi, dtype=float)[None, :]
-    alpha_a, alpha_b = joint.alpha_a, joint.alpha_b
-    # keep B: (u, v) = (q_C, pi_C); keep C: (u, v) = (q_B, pi_B)
-    if keep == "B":
-        s_u, s_v = alpha_a + alpha_b, 1.0 / alpha_a
-        u_centre, v_centre = alpha_b * out_x / s_u, -out_xi
-    else:
-        s_u, s_v = alpha_b, 1.0 / alpha_a + 1.0 / alpha_b
-        u_centre, v_centre = out_x, -(out_xi / alpha_a) / s_v
+    k = reduced_labels(FRAME_A).index(keep)
+    unit = np.eye(2)[:, [k, 1 - k]]
+    q_block, p_block = frame_map(unit, unit, FRAME_A, FRAME_C)
+    alphas = np.array([joint.alpha_a, joint.alpha_b])
+    g_q = q_block.T @ np.diag(alphas) @ q_block
+    g_p = p_block.T @ np.diag(1.0 / alphas) @ p_block
+    s_u, s_v = g_q[1, 1], g_p[1, 1]
+    u_centre, v_centre = -g_q[1, 0] / s_u * out_x, -g_p[1, 0] / s_v * out_xi
     nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
     weights = weights * np.exp(nodes**2)
     values = np.zeros((out_x.shape[0], out_xi.shape[1]))
     for (t_u, w_u), (t_v, w_v) in itertools.product(zip(nodes, weights), repeat=2):
         u = u_centre + t_u / math.sqrt(s_u)
         v = v_centre + t_v / math.sqrt(s_v)
-        point = (out_x, u, out_xi, v) if keep == "B" else (u, out_x, v, out_xi)
-        values += (w_u * w_v) * joint(*point)
+        q = in_frame_order(keep, out_x, u)
+        p = in_frame_order(keep, out_xi, v)
+        values += (w_u * w_v) * joint_wigner(joint, q, p)
     return WignerGrid(out_x[:, 0], out_xi[0], values / math.sqrt(s_u * s_v))
+
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian reference for perspective-dependent entanglement

@@ -37,6 +37,8 @@ from qrf.wigner import (
 
 from oracles import (
     gather_wigner_transform,
+    in_frame_order,
+    joint_wigner,
     strided_wigner_transform,
     switched_ground_reduction,
     tensor_marginal,
@@ -85,6 +87,13 @@ class TestClosedForms:
             eigenstate_wigner_values(2, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             eigenstate_wigner_values(0, -1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_default_window_rejects_bad_alpha(self, alpha):
+        # the default window divides by alpha, so alpha is checked before it
+        for level in (0, 1):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                closed_form_eigenstate_wigner(level, alpha)
 
 
 class TestWignerTransform:
@@ -283,7 +292,7 @@ class TestTransformedJoint:
         pi_b = np.linspace(-2, 2, 9)
         for qb in q_b:
             for pb in pi_b:
-                slice_value = joint(qb, 0.0, pb, -pb)
+                slice_value = joint_wigner(joint, (qb, 0.0), (pb, -pb))
                 expected = eigenstate_wigner_values(0, 0.8, 0.0, 0.0) * eigenstate_wigner_values(
                     1, 1.2, qb, pb
                 )
@@ -299,13 +308,18 @@ class TestTransformedJoint:
 
     def test_ground_ground_nonnegative(self):
         joint = transformed_joint_wigner(0, 0, 1.0, 1.0)
-        values = joint(
-            np.linspace(-3, 3, 11)[:, None, None, None],
-            np.linspace(-3, 3, 11)[None, :, None, None],
-            np.linspace(-3, 3, 11)[None, None, :, None],
-            np.linspace(-3, 3, 11)[None, None, None, :],
-        )
+        axis = np.linspace(-3, 3, 11)
+        q = (axis[:, None, None, None], axis[None, :, None, None])
+        p = (axis[None, None, :, None], axis[None, None, None, :])
+        values = joint_wigner(joint, q, p)
         assert np.min(values) >= 0.0
+
+    @pytest.mark.parametrize("keep", ["A", "D"])
+    def test_marginal_rejects_a_particle_outside_the_reduction(self, keep):
+        # A is the frame particle of the joint's reduction, D no particle at all
+        x = np.linspace(-3.0, 3.0, 5)
+        with pytest.raises(ValueError, match="keep must be 'B' or 'C'"):
+            marginal_wigner(transformed_joint_wigner(0, 1, 0.8, 1.2), keep, x, x)
 
 
 def unfactored_marginal(joint, keep, x, xi, quad_points=256, tail=8.0):
@@ -323,11 +337,9 @@ def unfactored_marginal(joint, keep, x, xi, quad_points=256, tail=8.0):
     dv = v[1] - v[0]
     values = np.empty((x.shape[0], xi.shape[0]))
     for i, xo in enumerate(x):
-        if keep == "B":
-            block = joint(xo, u[:, None, None], xi[None, None, :], v[None, :, None])
-        else:
-            block = joint(u[:, None, None], xo, v[None, :, None], xi[None, None, :])
-        values[i] = np.sum(block, axis=(0, 1)) * du * dv
+        q = in_frame_order(keep, xo, u[:, None, None])
+        p = in_frame_order(keep, xi[None, None, :], v[None, :, None])
+        values[i] = np.sum(joint_wigner(joint, q, p), axis=(0, 1)) * du * dv
     return values
 
 
@@ -406,6 +418,28 @@ class TestMarginals:
             quadrature = marginal_wigner(joint, keep, x, xi)
             window = transformed.values[keep_x][:, keep_xi][::4, ::4]
             assert np.max(np.abs(quadrature.values - window)) <= 1e-3
+
+    @pytest.mark.parametrize(
+        ("levels", "alphas"),
+        [((0, 1), (1.0, 1.0)), ((1, 1), (1.0, 1.0)), ((1, 1), (0.7, 1.3))],
+    )
+    def test_matches_grid_route(self, levels, alphas):
+        # quadrature through frame_map vs the switched state's compositional
+        # switch -> partial trace -> Wigner transform, on the transform's grid;
+        # a 128-point box of L = 20 is too small for alpha = (0.7, 1.3)
+        grid = Grid1D(256, 28.0)
+        psi = product_state(
+            ho_eigenstate(grid, "A", levels[0], alpha=alphas[0]),
+            ho_eigenstate(grid, "B", levels[1], alpha=alphas[1]),
+            frame=FRAME_C,
+        )
+        switched = switch_frame(psi, FrameSwitch(FRAME_C, FRAME_A, "compositional"))
+        joint = transformed_joint_wigner(*levels, *alphas)
+        for keep in ("B", "C"):
+            expected = wigner_transform(partial_trace(switched, keep))
+            got = marginal_wigner(joint, keep, expected.x, expected.xi)
+            gap = np.max(np.abs(got.values - expected.values))
+            assert gap <= 1e-12 * np.max(np.abs(expected.values)), (keep, gap)
 
     def test_excited_marginal_negativity_reduced(self, grid128):
         # one oscillator excited, equal widths: the frame switch mixes the
