@@ -14,9 +14,10 @@ Units are dimensionless naturals with hbar = 1 and unit masses by default.
 
 from __future__ import annotations
 
+import math
 import string
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,12 +84,14 @@ def _hold(value, *names: str, dtype=float, copy: bool = True) -> None:
 def _adopt(cls, *values):
     """A ``cls`` over arrays the library has just built, or views of a value's, uncopied.
 
-    ``values`` are all of the dataclass's fields, in order.  Its
-    ``__post_init__(adopt=True)`` runs the checks such a result still needs.
+    ``values`` are all of the dataclass's fields, in order: no value type
+    declares a ``ClassVar`` or ``InitVar``, which ``__dataclass_fields__``
+    would also list.  Its ``__post_init__(adopt=True)`` runs the checks such
+    a result still needs.
     """
     value = object.__new__(cls)
-    for spec, field_value in zip(fields(cls), values, strict=True):
-        object.__setattr__(value, spec.name, field_value)
+    for name, field_value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(value, name, field_value)
     value.__post_init__(adopt=True)
     return value
 
@@ -117,12 +120,16 @@ class ParticleSystem:
 
 
 def _check_coordinates(q: np.ndarray, p: np.ndarray) -> None:
-    """Positions and momenta must be finite 1-d lists of one length."""
+    """Positions and momenta must be finite 1-d lists of one length.
+
+    The lists hold one entry per particle, so one ``math.isfinite`` pass over
+    both costs less than the wrappers of two ``np.isfinite(...).all()`` calls.
+    """
     if q.ndim != 1 or p.ndim != 1:
         raise ValueError(f"expected 1-d coordinate lists, got shapes {q.shape} and {p.shape}")
     if p.shape != q.shape:
         raise ValueError(f"expected {q.shape[0]} momenta, got {p.shape[0]}")
-    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+    if not all(map(math.isfinite, q.tolist() + p.tolist())):
         raise ValueError("coordinates must be finite")
 
 
@@ -133,8 +140,8 @@ class ExtendedPhasePoint:
     q: np.ndarray
     p: np.ndarray
 
-    def __post_init__(self):
-        _hold(self, "q", "p")
+    def __post_init__(self, adopt: bool = False):
+        _hold(self, "q", "p", copy=not adopt)
         _check_coordinates(self.q, self.p)
 
     @property
@@ -150,8 +157,8 @@ class ReducedPhasePoint:
     q_rel: np.ndarray
     p_rel: np.ndarray
 
-    def __post_init__(self):
-        _hold(self, "q_rel", "p_rel")
+    def __post_init__(self, adopt: bool = False):
+        _hold(self, "q_rel", "p_rel", copy=not adopt)
         _check_coordinates(self.q_rel, self.p_rel)
         if self.frame.index > self.q_rel.shape[0]:
             raise ValueError("frame index exceeds particle count implied by coordinates")
@@ -261,7 +268,7 @@ def total_momentum(point: ExtendedPhasePoint) -> float:
 
 def gauge_flow(point: ExtendedPhasePoint, s: float) -> ExtendedPhasePoint:
     """Translate every particle by the flow parameter s, momenta untouched."""
-    return ExtendedPhasePoint(point.q + s, point.p)
+    return _adopt(ExtendedPhasePoint, point.q + s, point.p)
 
 
 def pin_frame(values, frame: FrameLabel, fill=0.0) -> np.ndarray:
@@ -284,9 +291,10 @@ def frame_map(q_rel, p_rel, old: FrameLabel, new: FrameLabel):
     Linear, entries 0 and +-1: ``frame_map(eye, eye, old, new)`` gives its blocks.
     """
     q = pin_frame(q_rel, old)
-    p = pin_frame(p_rel, old, -np.sum(p_rel, axis=0))
-    keep = [i for i in range(len(q)) if i != new.index]
-    return q[keep] - q[new.index], p[keep]
+    p = pin_frame(p_rel, old, -np.add.reduce(p_rel, axis=0))  # np.sum, without its wrapper
+    k = new.index
+    keep = [*range(k), *range(k + 1, len(q))]
+    return q[keep] - q[k], p[keep]
 
 
 def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
@@ -295,8 +303,10 @@ def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
     The frame particle gets q = 0 and absorbs minus the total momentum of the
     others, so the image satisfies P = 0 and q_frame = 0 exactly.
     """
-    return ExtendedPhasePoint(
-        pin_frame(rp.q_rel, rp.frame), pin_frame(rp.p_rel, rp.frame, -rp.p_rel.sum())
+    return _adopt(
+        ExtendedPhasePoint,
+        pin_frame(rp.q_rel, rp.frame),
+        pin_frame(rp.p_rel, rp.frame, -rp.p_rel.sum()),
     )
 
 
@@ -315,7 +325,7 @@ def project_reduced(point: ExtendedPhasePoint, frame: FrameLabel) -> ReducedPhas
             f"exceeds tolerance {CONSTRAINT_TOL:.1e}"
         )
     others = [i for i in range(point.n) if i != frame.index]
-    return ReducedPhasePoint(frame, point.q[others], point.p[others])
+    return _adopt(ReducedPhasePoint, frame, point.q[others], point.p[others])
 
 
 def classical_frame_switch(rp: ReducedPhasePoint, new_frame: FrameLabel) -> ReducedPhasePoint:
@@ -324,7 +334,8 @@ def classical_frame_switch(rp: ReducedPhasePoint, new_frame: FrameLabel) -> Redu
         raise SameFrame(f"already in frame {rp.frame.name}")
     if new_frame.index >= rp.n:
         raise ValueError(f"frame index {new_frame.index} out of range for n={rp.n}")
-    return ReducedPhasePoint(new_frame, *frame_map(rp.q_rel, rp.p_rel, rp.frame, new_frame))
+    q_rel, p_rel = frame_map(rp.q_rel, rp.p_rel, rp.frame, new_frame)
+    return _adopt(ReducedPhasePoint, new_frame, q_rel, p_rel)
 
 
 def _fd_gradients(f, point: ExtendedPhasePoint):

@@ -108,7 +108,8 @@ class Trajectory:
         return self.times.shape[0]
 
     def point(self, i: int) -> ReducedPhasePoint:
-        return ReducedPhasePoint(self.frame, self.q[i], self.p[i])
+        """Sample ``i``, holding read-only views of the trajectory's rows, not copies."""
+        return _adopt(ReducedPhasePoint, self.frame, self.q[i], self.p[i])
 
     def energies(self, potential: Potential, system: ParticleSystem) -> np.ndarray:
         return reduced_energy(self.q.T, self.p.T, self.frame, potential, system)

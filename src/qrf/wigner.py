@@ -48,6 +48,7 @@ sum is (sum_u w_u C)(x) (sum_v w_v R)(xi), from points * nodes evaluations per a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -310,6 +311,16 @@ def transformed_joint_wigner(
 _BLOCKS = frame_map(np.eye(2), np.eye(2), FRAME_A, FRAME_C)
 
 
+@functools.lru_cache(maxsize=8)
+def _hermite_rule(quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and their weights times exp(node^2), read-only, per node count."""
+    nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
+    weights = weights * np.exp(nodes**2)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def marginal_wigner(
     joint: TransformedJointWigner,
     keep: str,
@@ -335,8 +346,7 @@ def marginal_wigner(
     alphas = np.array([joint.alpha_a, joint.alpha_b])
     g_q = q_block.T @ (alphas[:, None] * q_block)
     g_p = p_block.T @ (p_block / alphas[:, None])
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_points)
-    weights = weights * np.exp(nodes**2)
+    nodes, weights = _hermite_rule(quad_points)
     # (points, nodes) tables along x and xi: u and v, then factor j's Q_j (x, u) and P_j (xi, v)
     u = -(out_x * g_q[0, 1]) / g_q[1, 1] + nodes / math.sqrt(g_q[1, 1])
     v = -(out_xi * g_p[0, 1]) / g_p[1, 1] + nodes / math.sqrt(g_p[1, 1])

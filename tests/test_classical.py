@@ -441,10 +441,21 @@ class TestTypes:
             ParticleSystem(3, masses=[1.0, 1.0])
 
     def test_phase_point_validation(self):
-        with pytest.raises(ValueError):
-            ExtendedPhasePoint([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            ExtendedPhasePoint([np.inf, 0.0], [0.0, 0.0])
+        largest = np.finfo(float).max
+        for build in (ExtendedPhasePoint, lambda q, p: ReducedPhasePoint(FRAME_A, q, p)):
+            # the shape errors come first, whatever the entries hold
+            with pytest.raises(ValueError, match="expected 2 momenta"):
+                build([1.0, np.nan], [1.0])
+            with pytest.raises(ValueError, match="1-d"):
+                build([[np.nan, 0.0]], [[0.0, np.inf]])
+            for bad in (np.nan, np.inf, -np.inf):
+                for q, p in (([bad, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, bad])):
+                    with pytest.raises(ValueError, match="finite"):
+                        build(q, p)
+            with pytest.raises(ValueError, match="finite"):
+                build([np.inf, 0.0], [-np.inf, 0.0])
+            # finite entries whose sums overflow: each entry is tested on its own
+            build([largest, largest], [-largest, -largest])
 
     def test_reduced_point_labels(self):
         rp = ReducedPhasePoint(FRAME_B, [1.0, 2.0], [0.0, 0.0])

@@ -3,6 +3,7 @@
 A public constructor copies the arrays its caller passes in: the caller's
 arrays stay writable, and a later write to them does not reach the value,
 whose own arrays are read-only.  No field of a value can be reassigned.
+A result the library has just built is adopted uncopied, and is read-only too.
 """
 
 import numpy as np
@@ -10,10 +11,15 @@ import pytest
 
 from qrf.classical import (
     FRAME_A,
+    FRAME_C,
     ExtendedPhasePoint,
     ParticleSystem,
     Potential,
     ReducedPhasePoint,
+    classical_frame_switch,
+    embed_reduced,
+    gauge_flow,
+    project_reduced,
 )
 from qrf.dynamics import Trajectory
 from qrf.grids import MOMENTUM, Grid1D, WaveFunction
@@ -146,3 +152,34 @@ def test_value_compares_by_identity_and_hashes(build):
     assert value != twin
     assert hash(value) == hash(value)
     assert len({value, twin}) == 2
+
+
+def test_point_results_are_read_only_and_adopted():
+    point = ReducedPhasePoint(FRAME_C, np.array([1.0, 2.0]), np.array([0.5, -1.5]))
+    extended = embed_reduced(point)
+    q, p = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
+    traj = Trajectory(np.arange(3.0), q, p, FRAME_C)
+    switched = classical_frame_switch(point, FRAME_A)
+    sample = traj.point(1)
+    flowed = gauge_flow(extended, 0.5)
+    projected = project_reduced(extended, FRAME_C)
+    held = [
+        switched.q_rel, switched.p_rel, sample.q_rel, sample.p_rel, extended.q, extended.p,
+        flowed.q, flowed.p, projected.q_rel, projected.p_rel,
+    ]
+    assert not any(arr.flags.writeable for arr in held)
+    # a sample views the trajectory's rows; a switch builds new arrays
+    assert np.shares_memory(sample.q_rel, traj.q) and np.shares_memory(sample.p_rel, traj.p)
+    assert np.array_equal(sample.q_rel, q[1]) and np.array_equal(sample.p_rel, p[1])
+    for new in switched.q_rel, switched.p_rel:
+        assert not any(np.shares_memory(new, old) for old in (point.q_rel, point.p_rel))
+
+
+def test_adopted_points_are_still_checked():
+    # q_B - q_A overflows: the switched point's coordinates are not finite
+    largest = np.finfo(float).max
+    point = ReducedPhasePoint(FRAME_C, np.array([largest, -largest]), np.zeros(2))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        classical_frame_switch(point, FRAME_A)
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(np.arange(1.0), np.full((1, 2), np.nan), np.zeros((1, 2)), FRAME_C).point(0)
