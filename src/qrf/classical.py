@@ -14,6 +14,7 @@ Units are dimensionless naturals with hbar = 1 and unit masses by default.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from collections.abc import Callable
@@ -75,10 +76,11 @@ def _hold(value, *names: str, dtype=float, copy: bool = True) -> None:
     read-only, and the frozen dataclass lets no field be reassigned.
     """
     for name in names:
-        arr = getattr(value, name)
-        arr = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
+        given = getattr(value, name)
+        arr = np.array(given, dtype=dtype) if copy else np.asarray(given, dtype=dtype)
         arr.setflags(write=False)
-        object.__setattr__(value, name, arr)
+        if arr is not given:  # an adopted float array is already the field
+            object.__setattr__(value, name, arr)
 
 
 def _adopt(cls, *values):
@@ -284,17 +286,50 @@ def pin_frame(values, frame: FrameLabel, fill=0.0) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=128)  # keys are (N, old, new); the rows are read-only
+def _frame_rows(n: int, old: int, new: int):
+    """Where ``frame_map`` reads each row of its output, for n particles.
+
+    ``rows`` lists, per output row, the input row it gathers; the old frame's
+    output row ``s`` gathers the new frame's input row ``r`` as a placeholder,
+    since ``frame_map`` writes that row itself.  ``None`` for old == new.
+    """
+    for k in (old, new):
+        if k >= n:
+            raise IndexError(f"frame index {k} out of range for {n} particles")
+    if old == new:
+        return None
+    labels = [i for i in range(n) if i != new]  # the output rows' particles
+    r = new if new < old else new - 1
+    rows = np.array([r if i == old else i - (i > old) for i in labels], dtype=np.intp)
+    rows.setflags(write=False)
+    return rows, r, labels.index(old)
+
+
 def frame_map(q_rel, p_rel, old: FrameLabel, new: FrameLabel):
     """Frame-``old`` relative coordinates seen from particle ``new``: (N - 1, ...) arrays.
 
-    Embed -> flow -> project without objects or checks, bit for bit (stacks: N <= 8).
-    Linear, entries 0 and +-1: ``frame_map(eye, eye, old, new)`` gives its blocks.
+    Embed -> flow -> project without objects or checks, as a gather of rows:
+    each surviving particle's row minus the new frame's row r, the old
+    frame's own row as ``0.0 - q_rel[r]`` and its momentum as ``-sum(p_rel)``.
+    These are the construction's operations on its operands, so the result
+    is bit-identical to it, signed zeros included (stacks: N <= 8).  q and p
+    may stack different trailing shapes.  Linear, entries 0 and +-1:
+    ``frame_map(eye, eye, old, new)`` gives its blocks.  A frame index of N
+    or more raises ``IndexError``.
     """
-    q = pin_frame(q_rel, old)
-    p = pin_frame(p_rel, old, -np.add.reduce(p_rel, axis=0))  # np.sum, without its wrapper
-    k = new.index
-    keep = [*range(k), *range(k + 1, len(q))]
-    return q[keep] - q[k], p[keep]
+    q_rel = np.asarray(q_rel, dtype=float)
+    p_rel = np.asarray(p_rel, dtype=float)
+    gather = _frame_rows(len(q_rel) + 1, old.index, new.index)
+    if gather is None:  # the construction subtracts the pinned 0.0, which changes no bit
+        return q_rel.copy(), p_rel.copy()
+    rows, r, s = gather
+    q = q_rel[rows]  # an index array gathers along the first axis, faster than take
+    q -= q_rel[r]
+    q[s] = 0.0 - q_rel[r]  # not -q_rel[r]: 0.0 - 0.0 is +0.0
+    p = p_rel[rows]
+    p[s] = -np.add.reduce(p_rel)  # np.sum over the first axis, without its wrapper
+    return q, p
 
 
 def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
@@ -330,10 +365,11 @@ def project_reduced(point: ExtendedPhasePoint, frame: FrameLabel) -> ReducedPhas
 
 def classical_frame_switch(rp: ReducedPhasePoint, new_frame: FrameLabel) -> ReducedPhasePoint:
     """Re-describe a reduced point from the perspective of another particle."""
-    if new_frame == rp.frame:
+    k, n = new_frame.index, rp.q_rel.shape[0] + 1  # plain integers: this runs on every switched point
+    if k == rp.frame.index:
         raise SameFrame(f"already in frame {rp.frame.name}")
-    if new_frame.index >= rp.n:
-        raise ValueError(f"frame index {new_frame.index} out of range for n={rp.n}")
+    if k >= n:
+        raise ValueError(f"frame index {k} out of range for n={n}")
     q_rel, p_rel = frame_map(rp.q_rel, rp.p_rel, rp.frame, new_frame)
     return _adopt(ReducedPhasePoint, new_frame, q_rel, p_rel)
 

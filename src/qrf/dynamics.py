@@ -41,7 +41,7 @@ from .classical import (
     spring_potential,
     total_momentum,
 )
-from .errors import InvalidStep
+from .errors import InvalidStep, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,10 @@ def integrate_reduced(
     (h/2) f is one float array, computed once and subtracted twice, and the
     result is exact to the bit.  The inner Yoshida kicks differ in size and
     stay two subtractions, since one merged kick would round differently.
+
+    Either path raises ``NumericalFailure`` if any sample is not finite,
+    naming the first such step and its time; the steps run with numpy's
+    floating-point warnings off, so that error is the only report.
     """
     # written so that NaN fails every comparison; t_final / dt must stay finite
     if not (0 < dt < math.inf and 0 <= t_final / dt < math.inf):
@@ -201,7 +205,9 @@ def integrate_reduced(
     if potential.stiffness is not None:
         stiffness = _system_stiffness(potential.stiffness, system.n)
         z0 = np.concatenate([initial.q_rel, initial.p_rel])
-        z = _spring_propagator(z0, stiffness[np.ix_(others, others)], drift, sizes, steps)
+        with np.errstate(all="ignore"):  # a blow-up is reported once, below
+            z = _spring_propagator(z0, stiffness[np.ix_(others, others)], drift, sizes, steps)
+        _check_finite(times, z)
         return _adopt(Trajectory, times, z[:, : len(others)], z[:, len(others) :], initial.frame)
     pinned = pin_frame(initial.q_rel, initial.frame)  # one buffer; frame slot stays 0
 
@@ -218,20 +224,34 @@ def integrate_reduced(
     qs[0] = initial.q_rel
     ps[0] = initial.p_rel
     q, p = qs[0].copy(), ps[0].copy()
-    kick = edge * force(q)
-    for step in range(steps):
-        p -= kick
-        q += first * drift.dot(p)
-        for closing, opening, h in inner:
-            f = force(q)
-            p -= closing * f
-            p -= opening * f
-            q += h * drift.dot(p)
+    with np.errstate(all="ignore"):  # a blow-up is reported once, below
         kick = edge * force(q)
-        p -= kick
-        qs[step + 1] = q
-        ps[step + 1] = p
+        for step in range(steps):
+            p -= kick
+            q += first * drift.dot(p)
+            for closing, opening, h in inner:
+                f = force(q)
+                p -= closing * f
+                p -= opening * f
+                q += h * drift.dot(p)
+            kick = edge * force(q)
+            p -= kick
+            qs[step + 1] = q
+            ps[step + 1] = p
+    _check_finite(times, qs, ps)
     return _adopt(Trajectory, times, qs, ps, initial.frame)
+
+
+def _check_finite(times, *samples) -> None:
+    """Raise ``NumericalFailure`` at the first sample row holding a non-finite value."""
+    finite = [np.isfinite(a) for a in samples]
+    if all(f.all() for f in finite):
+        return
+    step = int(np.argmin(np.logical_and.reduce([f.all(axis=1) for f in finite])))
+    raise NumericalFailure(
+        f"the integrated trajectory is not finite from step {step} "
+        f"(t = {times[step]:.6g}) on; a smaller dt may keep it bounded"
+    )
 
 
 def _system_stiffness(stiffness, n: int) -> np.ndarray:
@@ -255,7 +275,8 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
     identity with only the increment stored, so entries of size dt keep
     their relative precision.  Then D_j = M^j - I = D_{j-1} + (D_1 + D_1 D_{j-1})
     for j <= PROPAGATOR_BLOCK, and each block of samples is
-    z_{k+j} = z_k + D_j z_k: a block costs one matrix-vector product.
+    z_{k+j} = z_k + D_j z_k: a block costs one matrix-vector product.  Both
+    recurrences write into preallocated arrays, the samples straight into z.
 
     Against a long-double leapfrog over 2e4 steps this is about 1e-14 off.
     Plain powers M^j, which round M = I + D_1 at the identity's precision,
@@ -283,14 +304,20 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
     block = min(max(steps, 1), PROPAGATOR_BLOCK)
     increments = np.empty((block, 2 * m, 2 * m))
     increments[0] = dz
+    step = np.empty_like(dz)
     for j in range(1, block):
-        increments[j] = increments[j - 1] + (dz + dz.dot(increments[j - 1]))
+        prev = increments[j - 1]
+        np.dot(dz, prev, out=step)
+        step += dz
+        np.add(prev, step, out=increments[j])
     stacked = increments.reshape(block * 2 * m, 2 * m)
     z = np.empty((steps + 1, 2 * m))
     z[0] = z0
     for k in range(0, steps, block):
         j = min(block, steps - k)
-        z[k + 1 : k + 1 + j] = z[k] + stacked[: j * 2 * m].dot(z[k]).reshape(j, 2 * m)
+        rows = z[k + 1 : k + 1 + j]
+        np.dot(stacked[: j * 2 * m], z[k], out=rows.reshape(-1))
+        rows += z[k]
     return z
 
 

@@ -22,8 +22,9 @@ per-spring gradient loop, the earlier spring gradient that wrote K @ q into
 a zeroed array, and the leapfrog that evaluates the force twice per Strang
 substep; the coordinate functions q_i and p_i fill the bracket tables.  The
 spring propagator is held to that leapfrog and to a long-double one to
-rounding, and ``without_stiffness`` sends a spring potential through the
-loop that the leapfrog checks bit for bit.  So
+rounding, and byte for byte to ``fresh_array_spring_trajectory``, its own
+recurrence with a fresh array per sum; ``without_stiffness`` sends a spring
+potential through the loop that the leapfrog checks bit for bit.  So
 do three phase-space references, which the production code must match byte
 for byte: ``random_wavefunction`` over an n^d meshgrid and the centered FFTs
 that allocate a fresh array per step.  The Wigner transform
@@ -57,7 +58,7 @@ from qrf.classical import (
     frame_map,
     pin_frame,
 )
-from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, kinetic_matrix
+from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, PROPAGATOR_BLOCK, kinetic_matrix
 from qrf.errors import QRFError
 from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, to_representation
 from qrf.observables import Observable
@@ -599,6 +600,55 @@ def longdouble_leapfrog(initial, potential, system, t_final, dt, order=2):
             p = p + (h / 2) * (force @ q)
         out[step + 1] = np.concatenate([q, p])
     return out
+
+
+def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order=2):
+    """Sampled (q, p) of ``integrate_reduced``'s spring propagator, one fresh array per sum.
+
+    The same increment D_1 and recurrence D_j = D_{j-1} + (D_1 + D_1 D_{j-1})
+    as the production propagator, and the same sample blocks z_k + D_j z_k,
+    but every product and sum allocates its result instead of writing into a
+    preallocated one.  Each sum has the same two operands, so the production
+    path must match it byte for byte.  The span checks are left out.
+    """
+    steps = int(round(t_final / dt))
+    others = list(initial.labels)
+    m = len(others)
+    stiffness = np.zeros((system.n, system.n))
+    size = len(potential.stiffness)
+    stiffness[:size, :size] = potential.stiffness
+    stiffness = stiffness[np.ix_(others, others)]
+    drift = 2.0 * kinetic_matrix(system, initial.frame)
+    sizes = (dt,) if order == 2 else (_YOSHIDA_W1 * dt, _YOSHIDA_W0 * dt, _YOSHIDA_W1 * dt)
+    eye = np.eye(2 * m)
+    dz = np.zeros((2 * m, 2 * m))
+
+    def kick(a):
+        dz[m:] -= a * stiffness.dot(eye[:m] + dz[:m])
+
+    def flow(h):
+        dz[:m] += h * drift.dot(eye[m:] + dz[m:])
+
+    kick(0.5 * sizes[0])
+    flow(sizes[0])
+    for a, b in zip(sizes, sizes[1:]):
+        kick(0.5 * a)
+        kick(0.5 * b)
+        flow(b)
+    kick(0.5 * sizes[-1])
+
+    block = min(max(steps, 1), PROPAGATOR_BLOCK)
+    increments = np.empty((block, 2 * m, 2 * m))
+    increments[0] = dz
+    for j in range(1, block):
+        increments[j] = increments[j - 1] + (dz + dz.dot(increments[j - 1]))
+    stacked = increments.reshape(block * 2 * m, 2 * m)
+    z = np.empty((steps + 1, 2 * m))
+    z[0] = np.concatenate([initial.q_rel, initial.p_rel])
+    for k in range(0, steps, block):
+        j = min(block, steps - k)
+        z[k + 1 : k + 1 + j] = z[k] + stacked[: j * 2 * m].dot(z[k]).reshape(j, 2 * m)
+    return z[:, :m], z[:, m:]
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,13 @@ class TestFrameSwitch:
 
     def test_same_frame_rejected(self):
         rp = ReducedPhasePoint(FRAME_A, [1, 3], [2, 4])
-        with pytest.raises(SameFrame):
+        with pytest.raises(SameFrame, match="already in frame A"):
             classical_frame_switch(rp, FRAME_A)
+
+    def test_new_frame_out_of_range_rejected(self):
+        rp = ReducedPhasePoint(FRAME_A, [1, 3], [2, 4])
+        with pytest.raises(ValueError, match=r"frame index 3 out of range for n=3"):
+            classical_frame_switch(rp, FrameLabel(3))
 
     def test_large_momenta_switch(self):
         # the embedded momenta sum to 6e-9 by rounding, above CONSTRAINT_TOL;
@@ -202,6 +207,50 @@ class TestFrameMap:
                 column = (stacked[0][:, k], stacked[1][:, k])
                 for got in (single, column):
                     assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+
+    @staticmethod
+    def signed_draw(rng, shape):
+        """Values over six decades with a third of the entries +0.0 or -0.0."""
+        values = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-3, 4, shape)
+        values[rng.random(shape) < 1 / 6] = 0.0
+        values[rng.random(shape) < 1 / 6] = -0.0
+        return values
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_signed_zeros_and_same_frame_bit_for_bit(self, n):
+        # every ordered pair and old == new, as single points and as stacks;
+        # the old frame's row is 0.0 - q_r, which is +0.0 where -q_r is -0.0
+        rng = np.random.default_rng(100 + n)
+        frames = [FrameLabel(i) for i in range(n)]
+        for old, new in itertools.product(frames, repeat=2):
+            q, p = self.signed_draw(rng, (2, n - 1, 40))
+            q[:, :2], p[:, :2] = 0.0, -0.0  # all-zero columns, of both signs
+            q[:, 2], p[:, 2] = -0.0, 0.0
+            stacked = frame_map(q, p, old, new)
+            for k in range(q.shape[-1]):
+                expected = [a.tobytes() for a in self.construction(q[:, k], p[:, k], old, new)]
+                single = frame_map(q[:, k], p[:, k], old, new)
+                assert [a.tobytes() for a in single] == expected
+                assert [a[:, k].tobytes() for a in stacked] == expected
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_positions_with_one_momentum_list(self, n):
+        # fig3's form: a stacked q with a 1-d zero p, mapped in one call
+        rng = np.random.default_rng(200 + n)
+        q, p = self.signed_draw(rng, (n - 1, 30)), np.zeros(n - 1)
+        for old, new in ordered_frame_pairs(n):
+            got_q, got_p = frame_map(q, p, old, new)
+            assert got_q.shape == q.shape and got_p.shape == p.shape
+            for k in range(q.shape[-1]):
+                want_q, want_p = self.construction(q[:, k], p, old, new)
+                assert got_q[:, k].tobytes() == want_q.tobytes()
+                assert got_p.tobytes() == want_p.tobytes()
+
+    @pytest.mark.parametrize("old, new", [(3, 0), (0, 3), (7, 7)])
+    def test_frame_out_of_range_raises(self, old, new):
+        q = np.zeros(2)  # three particles
+        with pytest.raises(IndexError, match="out of range for 3 particles"):
+            frame_map(q, q, FrameLabel(old), FrameLabel(new))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_blocks_are_integer_and_symplectic(self, n):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,7 @@ from qrf.classical import (
     spring_potential,
 )
 from qrf.dynamics import (
+    PROPAGATOR_BLOCK,
     OscillatorParams,
     Trajectory,
     acceleration_identity_check,
@@ -25,9 +28,10 @@ from qrf.dynamics import (
     reduced_hamiltonian,
     total_hamiltonian,
 )
-from qrf.errors import InvalidStep
+from qrf.errors import InvalidStep, NumericalFailure
 
 from oracles import (
+    fresh_array_spring_trajectory,
     longdouble_leapfrog,
     padded_spring_potential,
     per_spring_potential,
@@ -194,6 +198,19 @@ class TestIntegrateReduced:
         drift = np.max(np.abs(energies - energies[0])) / abs(energies[0])
         assert drift <= 1e-6
 
+    def test_blow_up_raises_once_without_warnings(self):
+        # the explicit steps overflow from step 5 on; no numpy warning may reach the caller
+        def gradient(q):
+            a, b = 4 * (q[0] - q[2]) ** 3, 4 * (q[1] - q[2]) ** 3
+            return np.array([a, b, -a - b])
+
+        quartic = Potential(lambda q: (q[0] - q[2]) ** 4 + (q[1] - q[2]) ** 4, gradient=gradient)
+        rp = ReducedPhasePoint(FRAME_C, [3.0, -2.0], [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"not finite from step 5 \(t = 2\.5\)"):
+                integrate_reduced(rp, quartic, ParticleSystem(3), 5.0, 0.5)
+
 
 def _nonlinear_potential():
     # no analytic gradient: the integrator sees central differences
@@ -259,6 +276,16 @@ class TestForceReuse:
 class TestSpringPropagator:
     """A spring potential is integrated through the powers of its one-step matrix."""
 
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_unstable_spring_step_raises(self, order):
+        # leapfrog is unstable beyond omega dt = 2; the propagator's powers overflow
+        rp = ReducedPhasePoint(FRAME_C, [0.3, -0.2], [0.1, 0.4])
+        potential = spring_potential(ENSEMBLE_SPRINGS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"not finite from step \d+ \(t = "):
+                integrate_reduced(rp, potential, ParticleSystem(3), 5000.0, 10.0, order=order)
+
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="no 64-bit long double mantissa")
     @pytest.mark.parametrize("order", [2, 4])
     def test_matches_long_double_leapfrog(self, order, rng):
@@ -284,6 +311,19 @@ class TestSpringPropagator:
             q, p = two_force_leapfrog(rp, reference, system, 10.0, 1e-3, order=order)
             assert len(traj) == len(q) == 10001
             assert max(np.max(np.abs(traj.q - q)), np.max(np.abs(traj.p - p))) <= 2e-13
+
+    @pytest.mark.parametrize("steps", [37, 2 * PROPAGATOR_BLOCK + 5, 1000])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_matches_fresh_array_recurrence_byte_for_byte(self, n, order, steps, rng):
+        # the recurrence writes into preallocated arrays; every sum keeps its two operands
+        system, star = ParticleSystem(n), [(i, n - 1, 1.0 + i) for i in range(n - 1)]
+        potential = spring_potential(star)
+        rp = ReducedPhasePoint(FrameLabel(n - 1), rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
+        traj = integrate_reduced(rp, potential, system, steps * 1e-2, 1e-2, order=order)
+        q, p = fresh_array_spring_trajectory(rp, potential, system, steps * 1e-2, 1e-2, order=order)
+        assert len(traj) == steps + 1
+        assert traj.q.tobytes() == q.tobytes() and traj.p.tobytes() == p.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
     def test_every_block_length_matches_the_loop(self, steps, rng):
