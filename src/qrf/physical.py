@@ -180,11 +180,17 @@ class GridHamiltonian:
     position representation; split-step evolution alternates the two.
 
     :meth:`evolve` runs the Strang steps as one fused loop that allocates
-    nothing per step.  It relies on two invariants.  The alternating signs
+    nothing per step.  It relies on three invariants.  The alternating signs
     that center each FFT are diagonal, so they commute with both phase grids
     and cancel between consecutive transforms: they are applied once on entry
     and once on exit.  The closing half kick of one step and the opening half
-    kick of the next merge into one full kick exp(-i V dt).
+    kick of the next merge into one full kick exp(-i V dt).  The state lives
+    in a buffer with one spare column that no FFT reads, so the column passes
+    never step through memory at a power-of-two stride, which aliases cache
+    sets at n >= 128.  The phase grids share that padded shape with a finite
+    spare column, so every product is one contiguous pass over the whole
+    buffer (numpy buffers a strided operand), and the state's spare column
+    stays 0.
     """
 
     subsystems: tuple[tuple[str, Grid1D], ...]
@@ -240,29 +246,45 @@ class GridHamiltonian:
     def _strang_steps(self, amplitudes: np.ndarray, steps: int, dt: float) -> np.ndarray:
         """Position amplitudes after ``steps`` fused Strang steps (class docstring).
 
-        The phase grids are locals, so they are freed before the caller
-        wraps the result in a WaveFunction.
+        Every grid is copied into the padded layout, its spare column 0, and
+        every FFT reads the ``[:, :cols]`` view of the work buffer.  The phase
+        grids are locals, so they are freed before the caller wraps the
+        result in a WaveFunction.
         """
-        kick = np.exp(-0.5j * dt * self.potential_grid)
+        rows, cols = self.potential_grid.shape
+
+        def padded(grid: np.ndarray) -> np.ndarray:
+            buf = np.empty((rows, cols + 1), complex)
+            buf[:, :cols] = grid
+            buf[:, cols] = 0.0
+            return buf
+
+        kick = padded(self.potential_grid)
+        # the scalar stays the left operand, as in -0.5j * dt * V
+        np.exp(np.multiply(-0.5j * dt, kick, out=kick), out=kick)
         # the outer half kicks with the centering signs folded in, broadcast
         # from the 1-D sign vectors so no n^2 sign grid is allocated
-        edge = kick * _alternating(kick.shape[0])[:, None]
-        edge *= _alternating(kick.shape[1])
+        edge = kick * _alternating(rows)[:, None]
+        edge *= _alternating(cols + 1)  # a sign for the spare column too
         kick *= kick  # the merged full kick between steps
         # ifft runs unscaled (norm="forward"); its 1/N rides on the kinetic phase
-        drift = np.exp(-1j * dt * self.kinetic_grid)
-        drift /= drift.size
-        arr = amplitudes * edge
+        drift = padded(self.kinetic_grid)
+        np.exp(np.multiply(-1j * dt, drift, out=drift), out=drift)
+        drift /= rows * cols
+        work = padded(amplitudes)
+        work *= edge
+        arr = work[:, :cols]
         for step in range(steps):
             if step:
-                arr *= kick
+                work *= kick
             np.fft.fft(arr, axis=1, out=arr)
             np.fft.fft(arr, axis=0, out=arr)
-            arr *= drift
+            work *= drift
             np.fft.ifft(arr, axis=0, out=arr, norm="forward")
             np.fft.ifft(arr, axis=1, out=arr, norm="forward")
-        arr *= edge
-        return arr
+        work *= edge
+        del kick, edge, drift  # so the contiguous copy is not the peak
+        return arr.copy()
 
 
 def reduced_quantum_hamiltonian(

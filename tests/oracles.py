@@ -25,9 +25,10 @@ spring propagator is held to that leapfrog and to a long-double one to
 rounding, and byte for byte to ``fresh_array_spring_trajectory``, its own
 recurrence with a fresh array per sum; ``without_stiffness`` sends a spring
 potential through the loop that the leapfrog checks bit for bit.  So
-do three phase-space references, which the production code must match byte
-for byte: ``random_wavefunction`` over an n^d meshgrid and the centered FFTs
-that allocate a fresh array per step.  The Wigner transform
+do these phase-space references, which the production code must match byte
+for byte: ``random_wavefunction`` over an n^d meshgrid, the centered FFTs
+that allocate a fresh array per step, and ``contiguous_strang_steps``, the
+fused split-step loop on unpadded grids.  The Wigner transform
 has two earlier forms, which agree with each other byte for byte and with the
 production transform to rounding: the full doubled-box chord table gathered
 through modulo index grids, and the same table read through one strided
@@ -60,7 +61,7 @@ from qrf.classical import (
 )
 from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, PROPAGATOR_BLOCK, kinetic_matrix
 from qrf.errors import QRFError
-from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, to_representation
+from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, _alternating, to_representation
 from qrf.observables import Observable
 from qrf.physical import GridHamiltonian, PhysicalState, reduced_labels
 from qrf.wigner import DensityMatrix, WignerGrid, _half_step, eigenstate_wigner_values
@@ -691,6 +692,27 @@ def allocating_centered_fft(arr: np.ndarray, axis: int) -> np.ndarray:
 def allocating_centered_ifft(arr: np.ndarray, axis: int) -> np.ndarray:
     signs = _signs(arr, axis)
     return signs * np.fft.ifft(arr * signs, axis=axis)
+
+
+def contiguous_strang_steps(h: GridHamiltonian, amplitudes: np.ndarray, steps: int, dt: float) -> np.ndarray:
+    """``GridHamiltonian._strang_steps`` of 0.6.2: the fused loop on contiguous n^2 grids."""
+    kick = np.exp(-0.5j * dt * h.potential_grid)
+    edge = kick * _alternating(kick.shape[0])[:, None]
+    edge *= _alternating(kick.shape[1])
+    kick *= kick
+    drift = np.exp(-1j * dt * h.kinetic_grid)
+    drift /= drift.size
+    arr = amplitudes * edge
+    for step in range(steps):
+        if step:
+            arr *= kick
+        np.fft.fft(arr, axis=1, out=arr)
+        np.fft.fft(arr, axis=0, out=arr)
+        arr *= drift
+        np.fft.ifft(arr, axis=0, out=arr, norm="forward")
+        np.fft.ifft(arr, axis=1, out=arr, norm="forward")
+    arr *= edge
+    return arr
 
 
 def _allocating_refine(arr: np.ndarray, axis: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,7 @@ from oracles import (
     allocating_centered_fft,
     allocating_centered_ifft,
     constraint_surface_amplitude,
+    contiguous_strang_steps,
     dense_total_momentum,
     fourier_matrix,
     ground_energy,
@@ -294,27 +297,63 @@ def unfused_strang(h, psi, t, dt):
 
 class TestEvolve:
     @staticmethod
-    def hamiltonian(grid):
+    def hamiltonian(grid, grid_c=None):
         system = ParticleSystem(3, masses=[1.0, 2.0, 1.5])
         potential = spring_potential([(2, 0, 1.0), (2, 1, 2.5), (0, 1, 0.7)])
-        return reduced_quantum_hamiltonian(FRAME_A, potential, system, [("B", grid), ("C", grid)])
+        axes = [("B", grid), ("C", grid_c or grid)]
+        return reduced_quantum_hamiltonian(FRAME_A, potential, system, axes)
+
+    @staticmethod
+    def draw(h, rng, representation):
+        psi = random_wavefunction(h.subsystems, rng, frame=FRAME_A)
+        if representation == "momentum":
+            return to_representation(psi, MOMENTUM)
+        if representation == "mixed":
+            return change_representation(psi, "C", MOMENTUM)
+        return psi
 
     @pytest.mark.parametrize("representation", ["position", "momentum", "mixed"])
     @pytest.mark.parametrize("n", [32, 64])
     def test_matches_unfused_loop(self, rng, n, representation):
-        grid = Grid1D(n, 16.0)
-        h = self.hamiltonian(grid)
-        psi = random_wavefunction([("B", grid), ("C", grid)], rng, frame=FRAME_A)
-        if representation == "momentum":
-            psi = to_representation(psi, MOMENTUM)
-        elif representation == "mixed":
-            psi = change_representation(psi, "C", MOMENTUM)
+        h = self.hamiltonian(Grid1D(n, 16.0))
+        psi = self.draw(h, rng, representation)
         out = h.evolve(psi, 0.4, 1e-2)
         expected = unfused_strang(h, psi, 0.4, 1e-2)
         assert out.representation == psi.representation
         assert out.frame == psi.frame
         gap = np.linalg.norm(out.amplitudes - expected.amplitudes)
         assert gap <= 1e-13 * np.linalg.norm(expected.amplitudes)
+
+    @pytest.mark.parametrize("steps", [1, 7, 50])
+    @pytest.mark.parametrize("representation", ["position", "momentum", "mixed"])
+    @pytest.mark.parametrize("n_b, n_c", [(64, 64), (128, 128), (256, 256), (32, 64)])
+    def test_matches_contiguous_loop_byte_for_byte(self, rng, n_b, n_c, representation, steps):
+        # the padded work buffer changes the memory layout, not one operation
+        h = self.hamiltonian(Grid1D(n_b, 16.0), Grid1D(n_c, 16.0))
+        psi = self.draw(h, rng, representation)
+        out = h.evolve(psi, steps * 1e-2, 1e-2)
+        arr = contiguous_strang_steps(h, to_representation(psi, POSITION).amplitudes, steps, 1e-2)
+        expected = to_matching(WaveFunction(h.subsystems, arr, POSITION, frame=psi.frame), psi)
+        assert out.representation == expected.representation
+        assert out.amplitudes.flags.c_contiguous
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    def test_loop_allocates_nothing_per_step(self):
+        n = 128
+        h = self.hamiltonian(Grid1D(n, 16.0))
+        psi = self.draw(h, np.random.default_rng(0), "position")
+        h.evolve(psi, 1e-2, 1e-2)
+        peaks = []
+        for steps in (1, 50):
+            tracemalloc.start()
+            try:
+                h.evolve(psi, steps * 1e-2, 1e-2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 4 * 2**10, peaks
+        # four padded n^2 grids: the work buffer, both phase grids, the edge kick
+        assert max(peaks) <= 4.5 * n * n * 16, peaks
 
     @pytest.mark.parametrize("t", [0.0, 0.004])
     def test_less_than_half_a_step_returns_input(self, grid16, rng, t):
