@@ -1,7 +1,7 @@
 """Reference frames as physical particles in 1D: classical reductions, quantum
 frame switches, and phase-space analysis on spectral grids."""
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"
 
 from .classical import (
     FRAME_A,
@@ -27,7 +27,6 @@ from .classical import (
 from .dynamics import (
     OscillatorParams,
     Trajectory,
-    acceleration_identity_check,
     analytic_oscillator_frame_a,
     analytic_oscillator_frame_c,
     integrate_reduced,
@@ -60,12 +59,7 @@ from .physical import (
     reduced_quantum_hamiltonian,
     reexpress,
 )
-from .switching import (
-    FrameSwitch,
-    conjugate_observable,
-    dynamics_frame_commutation,
-    switch_frame,
-)
+from .switching import FrameSwitch, switch_frame
 from .wigner import (
     DensityMatrix,
     WignerGrid,

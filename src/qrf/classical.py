@@ -51,13 +51,6 @@ class FrameLabel:
             return string.ascii_uppercase[self.index]
         return f"P{self.index}"
 
-    @classmethod
-    def from_name(cls, name: str) -> "FrameLabel":
-        name = name.strip().upper()
-        if len(name) == 1 and name in string.ascii_uppercase:
-            return cls(string.ascii_uppercase.index(name))
-        raise ValueError(f"unrecognized frame name {name!r}")
-
 
 FRAME_A = FrameLabel(0)
 FRAME_B = FrameLabel(1)
@@ -235,11 +228,6 @@ class Potential:
         if self._gradient is not None:
             return np.asarray(self._gradient(q), dtype=float)
         return _central_difference(self._energy, q, GRADIENT_FD_STEP)
-
-    def translation_defect(self, q, shift: float) -> float:
-        """|V(q + shift) - V(q)|; zero (to rounding) for invariant potentials."""
-        q = np.asarray(q, dtype=float)
-        return abs(self(q + shift) - self(q))
 
 
 #: The non-interacting system.

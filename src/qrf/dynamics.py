@@ -337,21 +337,3 @@ def analytic_oscillator_frame_a(params: OscillatorParams, t):
     q_rel = np.array(analytic_oscillator_frame_c(params, t))
     return tuple(frame_map(q_rel, np.zeros(2), FRAME_C, FRAME_A)[0])
 
-
-def acceleration_identity_check(
-    potential: Potential, rp: ReducedPhasePoint
-) -> tuple[float, ...]:
-    """Residuals of the relative accelerations against the potential gradients.
-
-    For unit masses the reduced equations of motion give qdd = -2 M dV/dq, M the
-    frame's ``kinetic_matrix`` (qdd_B = -2 dV/dq_B - dV/dq_C for three particles
-    in frame A).  The left side is obtained by second-differencing a three-sample
-    integrated trajectory of step 1e-3.  One residual per surviving particle.
-    """
-    dt = 1e-3
-    system = ParticleSystem(rp.n)
-    traj = integrate_reduced(rp, potential, system, 2 * dt, dt)
-    qdd = (traj.q[0] - 2 * traj.q[1] + traj.q[2]) / dt**2
-    grad = potential.gradient(pin_frame(traj.q[1], rp.frame))
-    rhs = -2 * kinetic_matrix(system, rp.frame) @ grad[list(rp.labels)]
-    return tuple(float(r) for r in np.abs(qdd - rhs))

@@ -37,10 +37,6 @@ class NonHermitianObservable(QRFError):
     """An expectation value was requested for a non-Hermitian observable."""
 
 
-class UnsupportedObservable(QRFError):
-    """An observable cannot be transformed by the requested frame switch."""
-
-
 class InvalidDensityMatrix(QRFError):
     """A density matrix fails hermiticity, trace or positivity checks."""
 

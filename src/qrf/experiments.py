@@ -390,10 +390,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _run_classical_trajectory(config: ExperimentConfig, v: dict):
+    springs = {}
+    for side in "ab":  # k = omega**2 m, checked here so that its error names both keys
+        omega, mass = v[f"omega_{side}"], v[f"m_{side}"]
+        try:
+            k = omega**2 * mass
+        except OverflowError:  # a float square beyond the float range
+            k = math.inf
+        if not 0 < k < math.inf:
+            raise ConfigError(
+                f"{config.kind}: omega_{side} = {omega!r} and m_{side} = {mass!r} give the spring "
+                f"constant omega_{side}**2 * m_{side} = {k!r}; it must be positive and finite"
+            )
+        springs[f"k_{side}"] = k
     with _config_values(config.kind):
         params = OscillatorParams(
-            m_a=v["m_a"], m_b=v["m_b"], m_c=v["m_c"],
-            k_a=v["omega_a"] ** 2 * v["m_a"], k_b=v["omega_b"] ** 2 * v["m_b"],
+            m_a=v["m_a"], m_b=v["m_b"], m_c=v["m_c"], **springs,
             a0=v["a0"], b0=v["b0"], phi_a=v["phi_a"], phi_b=v["phi_b"],
         )
     steps = v["t_final"] / v["dt"]  # inf once the ratio overflows

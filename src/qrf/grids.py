@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class Grid1D:
     length: float
 
     def __post_init__(self):
-        if self.n < 8 or self.n & (self.n - 1) != 0:
+        if not isinstance(self.n, Integral) or self.n < 8 or self.n & (self.n - 1) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not (0 < self.length < math.inf):  # NaN fails it
             raise ValueError(f"length must be positive and finite, got {self.length}")

@@ -9,8 +9,11 @@ McCoy expansion
     W(q^m p^n) = 2^-m sum_r binom(m, r) Q^r P^n Q^(m-r),
 
 which is Hermitian for real coefficients.  Because Weyl ordering is covariant
-under linear canonical substitutions, frame transformations act on these
-observables simply by substituting the symbols.
+under linear canonical substitutions, a frame switch conjugates these
+observables by substituting the symbols; that substitution is a test-side
+check of the switch and lives in ``tests/oracles.py``.  In the package only
+the invariant suite's canonical commutator uses the algebra, through
+``commutator_expectation``.
 """
 
 from __future__ import annotations
@@ -83,9 +86,6 @@ class Observable:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def labels(self) -> set[str]:
-        return {key[0] for mono in self._terms for key, _ in mono}
-
     def is_hermitian(self) -> bool:
         return all(abs(complex(c).imag) <= 1e-12 for c in self._terms.values())
 
@@ -151,23 +151,6 @@ class Observable:
         result = Observable.constant(1.0)
         for _ in range(power):
             result = result * self
-        return result
-
-    def substitute(self, mapping: dict) -> "Observable":
-        """Replace elementary symbols with polynomials and expand.
-
-        ``mapping`` sends (label, kind) pairs to Observables; symbols absent
-        from the mapping survive unchanged.
-        """
-        result = Observable()
-        for mono, coeff in self._terms.items():
-            term = Observable.constant(coeff)
-            for (label, kind), power in mono:
-                base = mapping.get((label, kind))
-                if base is None:
-                    base = Observable({(((label, kind), 1),): 1.0})
-                term = term * base**power
-            result = result + term
         return result
 
     # -- action on states ---------------------------------------------------

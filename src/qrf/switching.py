@@ -11,36 +11,26 @@ frame-F2 reduction (F2 one of F1's axes, R the remaining particle):
   through its gauge-invariant description.
 
 Their agreement on random states is the library's standing cross-validation
-of the switch; observables transform by the linear dictionary that mirrors
-the classical coordinate change, which Weyl ordering turns into plain symbol
-substitution.
+of the switch.  The checks built on it, the operator dictionary that
+conjugates an observable along a switch and the comparison of
+evolve-then-switch with switch-then-evolve, live with the tests in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .classical import FrameLabel, frame_map
-from .dynamics import OscillatorParams
-from .errors import UnsupportedObservable
+from .classical import FrameLabel
 from .grids import (
     WaveFunction,
     apply_shear_phase,
     change_representation,
-    fidelity,
     reflect_axis,
     relabel_axis,
     with_axis_order,
 )
-from .observables import Observable
-from .physical import (
-    momentum_substitution,
-    reduced_labels,
-    reduced_quantum_hamiltonian,
-    reduction_grid,
-)
+from .physical import momentum_substitution, reduced_labels, reduction_grid
 
 BACKENDS = ("parity-shear", "compositional")
 
@@ -83,80 +73,3 @@ def switch_frame(psi: WaveFunction, sw: FrameSwitch) -> WaveFunction:
     renamed = relabel_axis(swapped, sw.to_frame.name, sw.from_frame.name, frame=sw.to_frame)
     return with_axis_order(renamed, reduced_labels(sw.to_frame))
 
-
-def switch_dictionary(sw: FrameSwitch) -> dict:
-    """Substitutions sending old reduced symbols to new-frame symbols.
-
-    Each old coordinate is a row of the reverse classical map's integer
-    blocks, ``frame_map(eye, eye, F2, F1)``: with old frame F1, new frame F2
-    and remaining particle R,
-
-        q_F2 -> -q'_F1,          p_F2 -> -p'_F1 - p'_R,
-        q_R  -> q'_R - q'_F1,    p_R  -> p'_R.
-    """
-    new = reduced_labels(sw.to_frame)
-    blocks = frame_map(np.eye(2), np.eye(2), sw.to_frame, sw.from_frame)
-    return {
-        (old, kind): Observable({(((name, kind), 1),): c for name, c in zip(new, row)})
-        for kind, block in zip("qp", blocks)
-        for old, row in zip(reduced_labels(sw.from_frame), block)
-    }
-
-
-def conjugate_observable(obs: Observable, sw: FrameSwitch) -> Observable:
-    """Transform a polynomial observable along the switch: S O S^dagger.
-
-    Weyl ordering is covariant under the linear dictionary, so the operator
-    transformation is the symbol substitution.
-    """
-    allowed = set(reduced_labels(sw.from_frame))
-    used = obs.labels()
-    if not used <= allowed:
-        raise UnsupportedObservable(
-            f"observable uses axes {sorted(used - allowed)} outside the "
-            f"frame-{sw.from_frame.name} reduction"
-        )
-    return obs.substitute(switch_dictionary(sw))
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    """Fidelity between evolve-then-switch and switch-then-evolve."""
-
-    t: float
-    dt: float
-    fidelity: float
-    evolve_first_norm: float
-    switch_first_norm: float
-
-
-def dynamics_frame_commutation(
-    psi: WaveFunction,
-    params: OscillatorParams,
-    t: float,
-    sw: FrameSwitch,
-    dt: float = 1e-3,
-) -> CommutationReport:
-    """Check that time evolution commutes with the frame switch.
-
-    The state is evolved under the old frame's oscillator Hamiltonian and then
-    switched, versus switched and then evolved under the new frame's
-    Hamiltonian for the same springs and masses.
-    """
-    if not t >= 0:  # NaN fails it
-        raise ValueError(f"t must be non-negative, got {t}")
-    system = params.system()
-    potential = params.potential()
-    h_old = reduced_quantum_hamiltonian(sw.from_frame, potential, system, psi.subsystems)
-    evolved = h_old.evolve(psi, t, dt) if t > 0 else psi
-    path_one = switch_frame(evolved, sw)
-    switched = switch_frame(psi, sw)
-    h_new = reduced_quantum_hamiltonian(sw.to_frame, potential, system, switched.subsystems)
-    path_two = h_new.evolve(switched, t, dt) if t > 0 else switched
-    return CommutationReport(
-        t=t,
-        dt=dt,
-        fidelity=fidelity(path_one, path_two),
-        evolve_first_norm=path_one.norm(),
-        switch_first_norm=path_two.norm(),
-    )

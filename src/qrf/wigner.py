@@ -287,7 +287,8 @@ def closed_form_eigenstate_wigner(
 class TransformedJointWigner:
     """The 4-d Wigner function of a frame-C product of two oscillators, seen from frame A.
 
-    Fields ``_a`` and ``_b`` are the factors of particles A and B, frame C's
+    ``level_a``, ``alpha_a`` and ``level_b``, ``alpha_b`` are the eigenstate
+    levels and widths of the factors of particles A and B, frame C's
     reduction; ``tests/oracles.py::joint_wigner`` evaluates it pointwise.
     """
 

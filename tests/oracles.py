@@ -24,22 +24,27 @@ substep; the coordinate functions q_i and p_i fill the bracket tables.  The
 spring propagator is held to that leapfrog and to a long-double one to
 rounding, and byte for byte to ``fresh_array_spring_trajectory``, its own
 recurrence with a fresh array per sum; ``without_stiffness`` sends a spring
-potential through the loop that the leapfrog checks bit for bit.  So
-do these phase-space references, which the production code must match byte
-for byte: ``random_wavefunction`` over an n^d meshgrid, the centered FFTs
-that allocate a fresh array per step, and ``contiguous_strang_steps``, the
-fused split-step loop on unpadded grids.  The Wigner transform
-has two earlier forms, which agree with each other byte for byte and with the
-production transform to rounding: the full doubled-box chord table gathered
-through modulo index grids, and the same table read through one strided
-view.  ``joint_wigner`` evaluates the frame-switched product state's 4-d
-Wigner function pointwise, through ``frame_map``.  ``tensor_marginal`` is the
-marginal quadrature's earlier form, one such evaluation on the whole output
-grid per node pair, which the separable production rule matches to rounding.
-The exact Gaussian reference for the frame-switched product ground state (its
-covariance matrix, reduced entropy and purity) closes the module.
-Test modules import it as ``oracles``: pytest puts this directory on
-``sys.path``.
+potential through the loop that the leapfrog checks bit for bit, and
+``acceleration_identity_check`` holds second-differenced trajectories to
+the potential's gradient.  The production code must also match these
+phase-space references byte for byte: ``random_wavefunction`` over an n^d
+meshgrid, the centered FFTs that allocate a fresh array per step, and
+``contiguous_strang_steps``, the fused split-step loop on unpadded grids.
+The Wigner transform has two earlier forms, which agree with each other
+byte for byte and with the production transform to rounding: the full
+doubled-box chord table gathered through modulo index grids, and the same
+table read through one strided view.  ``joint_wigner`` evaluates the
+frame-switched product state's 4-d Wigner function pointwise, through
+``frame_map``.  ``tensor_marginal`` is the marginal quadrature's earlier
+form, one such evaluation on the whole output grid per node pair, which the
+separable production rule matches to rounding.  Two checks read the switch
+through observables and dynamics: ``conjugate_observable`` substitutes the
+classical map's dictionary into a Weyl-ordered observable, and
+``commutation_paths`` returns a state evolved then switched and the same
+state switched then evolved.  The exact Gaussian reference for the
+frame-switched product ground state (its covariance matrix, reduced entropy
+and purity) closes the module.  Test modules import it as ``oracles``:
+pytest puts this directory on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -55,15 +60,18 @@ from qrf.classical import (
     FRAME_A,
     FRAME_C,
     FrameLabel,
+    ParticleSystem,
     Potential,
+    ReducedPhasePoint,
     frame_map,
     pin_frame,
 )
-from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, PROPAGATOR_BLOCK, kinetic_matrix
+from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, PROPAGATOR_BLOCK, integrate_reduced, kinetic_matrix
 from qrf.errors import QRFError
 from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, _alternating, to_representation
 from qrf.observables import Observable
-from qrf.physical import GridHamiltonian, PhysicalState, reduced_labels
+from qrf.physical import GridHamiltonian, PhysicalState, reduced_labels, reduced_quantum_hamiltonian
+from qrf.switching import FrameSwitch, switch_frame
 from qrf.wigner import DensityMatrix, WignerGrid, _half_step, eigenstate_wigner_values
 
 MAX_DENSE_DIM = 4096
@@ -652,6 +660,25 @@ def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order
     return z[:, :m], z[:, m:]
 
 
+def acceleration_identity_check(
+    potential: Potential, rp: ReducedPhasePoint
+) -> tuple[float, ...]:
+    """Residuals of the relative accelerations against the potential gradients.
+
+    For unit masses the reduced equations of motion give qdd = -2 M dV/dq, M the
+    frame's ``kinetic_matrix`` (qdd_B = -2 dV/dq_B - dV/dq_C for three particles
+    in frame A).  The left side is obtained by second-differencing a three-sample
+    integrated trajectory of step 1e-3.  One residual per surviving particle.
+    """
+    dt = 1e-3
+    system = ParticleSystem(rp.n)
+    traj = integrate_reduced(rp, potential, system, 2 * dt, dt)
+    qdd = (traj.q[0] - 2 * traj.q[1] + traj.q[2]) / dt**2
+    grad = potential.gradient(pin_frame(traj.q[1], rp.frame))
+    rhs = -2 * kinetic_matrix(system, rp.frame) @ grad[list(rp.labels)]
+    return tuple(float(r) for r in np.abs(qdd - rhs))
+
+
 # ---------------------------------------------------------------------------
 # Phase-space path: the unoptimized forms
 # ---------------------------------------------------------------------------
@@ -826,6 +853,55 @@ def tensor_marginal(joint, keep: str, x, xi, quad_points: int) -> WignerGrid:
         p = in_frame_order(keep, out_xi, v)
         values += (w_u * w_v) * joint_wigner(joint, q, p)
     return WignerGrid(out_x[:, 0], out_xi[0], values / math.sqrt(s_u * s_v))
+
+
+# ---------------------------------------------------------------------------
+# The quantum switch seen through observables and dynamics
+# ---------------------------------------------------------------------------
+
+
+def conjugate_observable(obs: Observable, sw: FrameSwitch) -> Observable:
+    """S O S^dagger of a polynomial observable, by substituting its symbols.
+
+    Each old symbol becomes a row of the reverse classical map's integer
+    blocks, ``frame_map(eye, eye, F2, F1)``: with old frame F1, new frame F2
+    and remaining particle R,
+
+        q_F2 -> -q'_F1,          p_F2 -> -p'_F1 - p'_R,
+        q_R  -> q'_R - q'_F1,    p_R  -> p'_R.
+
+    Weyl ordering is covariant under this linear map, so the symbol
+    substitution is the operator transformation.
+    """
+    new = reduced_labels(sw.to_frame)
+    blocks = frame_map(np.eye(2), np.eye(2), sw.to_frame, sw.from_frame)
+    image = {
+        (old, kind): Observable({(((name, kind), 1),): c for name, c in zip(new, row)})
+        for kind, block in zip("qp", blocks)
+        for old, row in zip(reduced_labels(sw.from_frame), block)
+    }
+    result = Observable()
+    for mono, coeff in obs.terms.items():
+        term = Observable.constant(coeff)
+        for key, power in mono:
+            term = term * image[key] ** power
+        result = result + term
+    return result
+
+
+def commutation_paths(psi: WaveFunction, params, t: float, sw: FrameSwitch, dt: float = 1e-3):
+    """The evolve-then-switch and the switch-then-evolve state, in that order.
+
+    The state evolves under the old frame's oscillator Hamiltonian and is then
+    switched, or is switched and then evolves under the new frame's
+    Hamiltonian for the same springs and masses.  Time evolution commutes
+    with the switch when the two agree.
+    """
+    system, potential = params.system(), params.potential()
+    h_old = reduced_quantum_hamiltonian(sw.from_frame, potential, system, psi.subsystems)
+    switched = switch_frame(psi, sw)
+    h_new = reduced_quantum_hamiltonian(sw.to_frame, potential, system, switched.subsystems)
+    return switch_frame(h_old.evolve(psi, t, dt), sw), h_new.evolve(switched, t, dt)
 
 
 # ---------------------------------------------------------------------------

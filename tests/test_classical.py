@@ -356,7 +356,7 @@ class TestPotential:
         potential = spring_potential([(2, 0, 1.0), (2, 1, 2.5)])
         for _ in range(10):
             q = rng.uniform(-3, 3, 3)
-            assert potential.translation_defect(q, rng.uniform(-5, 5)) <= 1e-10
+            assert abs(potential(q + rng.uniform(-5, 5)) - potential(q)) <= 1e-10
 
     def test_spring_gradient_sums_to_zero(self, rng):
         potential = spring_potential([(2, 0, 1.0), (2, 1, 2.5)])
@@ -477,9 +477,6 @@ class TestPinFrame:
 class TestTypes:
     def test_frame_label_names(self):
         assert FrameLabel(0).name == "A"
-        assert FrameLabel.from_name("c") == FRAME_C
-        with pytest.raises(ValueError):
-            FrameLabel.from_name("AB")
 
     def test_particle_system_validation(self):
         with pytest.raises(ValueError):

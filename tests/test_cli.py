@@ -356,6 +356,23 @@ class TestCommandLine:
         assert len(lines) == 1 and lines[0].startswith("qrf: ")
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize(
+        "values, keys",
+        [
+            ({"omega_a": "1e200"}, ("omega_a", "m_a")),  # the square overflows
+            ({"omega_a": "1e10", "m_a": "1e300"}, ("omega_a", "m_a")),  # the product does
+            ({"omega_b": "1e-200"}, ("omega_b", "m_b")),  # the square underflows to 0
+        ],
+        ids=["omega_a-square", "m_a-product", "omega_b-underflow"],
+    )
+    def test_spring_constant_error_names_its_keys(self, tmp_path, capsys, values, keys):
+        path = tmp_path / "spring.cfg"
+        path.write_text(trajectory_config(**values) + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and all(key in lines[0] for key in keys)
+        assert not (tmp_path / "out").exists()
+
     def test_size_caps_are_inclusive(self):
         cap = experiments.MAX_AXIS_POINTS
         for kind, key, extra in [

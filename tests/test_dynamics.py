@@ -20,7 +20,6 @@ from qrf.dynamics import (
     PROPAGATOR_BLOCK,
     OscillatorParams,
     Trajectory,
-    acceleration_identity_check,
     analytic_oscillator_frame_a,
     analytic_oscillator_frame_c,
     integrate_reduced,
@@ -31,6 +30,7 @@ from qrf.dynamics import (
 from qrf.errors import InvalidStep, NumericalFailure
 
 from oracles import (
+    acceleration_identity_check,
     fresh_array_spring_trajectory,
     longdouble_leapfrog,
     padded_spring_potential,

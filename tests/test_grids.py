@@ -47,10 +47,11 @@ class TestGrid1D:
         assert grid.positions()[8] == 0.0
         assert grid.momenta()[8] == 0.0
         assert grid.dx * grid.dp == pytest.approx(2 * np.pi / 16)
+        assert Grid1D(np.int64(16), 8.0).dx == 0.5  # numpy integers are sizes too
 
-    @pytest.mark.parametrize("n", [4, 7, 12, 129])
+    @pytest.mark.parametrize("n", [4, 7, 12, 129, 64.0, 64.5])
     def test_rejects_bad_sizes(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power of two"):
             Grid1D(n, 10.0)
 
     def test_rejects_bad_length(self):

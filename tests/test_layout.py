@@ -20,9 +20,12 @@ from pathlib import Path
 import pytest
 
 import qrf
+import qrf.dynamics
 import qrf.errors
 import qrf.physical
-from qrf.classical import FRAME_A, FREE_POTENTIAL, ParticleSystem
+import qrf.switching
+from qrf.classical import FRAME_A, FREE_POTENTIAL, FrameLabel, ParticleSystem, Potential
+from qrf.observables import Observable
 from qrf.physical import GridHamiltonian, reduced_quantum_hamiltonian
 
 PACKAGE = Path(qrf.__file__).parent
@@ -70,9 +73,19 @@ def test_the_package_ships_no_oracles():
         "trivialization_family_check",
     }
     assert not oracles & set(vars(qrf))
-    assert not {"TooLarge", "KOutOfRange"} & set(vars(qrf.errors))
+    assert not {"TooLarge", "KOutOfRange", "UnsupportedObservable"} & set(vars(qrf.errors))
     # the n^3 frame-change references; momentum_substitution is the one copy
     assert not {"constraint_surface_amplitude", "_trivialized_reduction"} & set(vars(qrf.physical))
+    # the switch's observable and dynamics checks; switching.py is the switch alone
+    package = set(vars(qrf)) | set(vars(qrf.switching)) | set(vars(qrf.dynamics))
+    assert not package & {"switch_dictionary", "conjugate_observable", "CommutationReport"}
+    assert not package & {"dynamics_frame_commutation", "acceleration_identity_check"}
+    for owner, name in [(Observable, "substitute"), (Observable, "labels"),
+                        (Potential, "translation_defect"), (FrameLabel, "from_name")]:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    nodes = ast.walk(_tree(PACKAGE / "switching.py"))
+    imported = {n.module.rpartition(".")[2] for n in nodes if isinstance(n, ast.ImportFrom)}
+    assert not {"observables", "dynamics"} & imported, "switching.py imports the checks' modules"
 
 
 @pytest.mark.parametrize("name", sorted({p.name for p in SOURCES} | {ORACLE_MODULE}))
