@@ -220,8 +220,6 @@ class Potential:
         q = np.asarray(q, dtype=float)
         if self.stiffness is not None:
             n = len(self.stiffness)
-            if q.shape[0] == n:
-                return self.stiffness.dot(q)
             grad = np.zeros(q.shape)
             grad[:n] = self.stiffness.dot(q[:n])
             return grad

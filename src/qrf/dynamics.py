@@ -178,13 +178,10 @@ def integrate_reduced(
     so one step is a fixed matrix M on z = (q, p), and the trajectory is
     filled through its powers without a Python loop per step; see
     ``_spring_propagator``.  Any other potential is stepped one substep at a
-    time: each substep evaluates the force once, its closing half kick and
-    the next substep's opening one sharing it.  At a step boundary the two
-    half kicks also share their product: both substeps have the same size
-    (dt, or w1 dt for the Yoshida sizes w1, w0, w1) and the same force, so
-    (h/2) f is one float array, computed once and subtracted twice, and the
-    result is exact to the bit.  The inner Yoshida kicks differ in size and
-    stay two subtractions, since one merged kick would round differently.
+    time.  Both paths walk one schedule, for each substep size h: a half
+    kick of h/2, a drift of h, a half kick of h/2.  Each substep evaluates
+    the force once, its closing half kick and the next substep's opening
+    one sharing it.
 
     Either path raises ``NumericalFailure`` if any sample is not finite,
     naming the first such step and its time; the steps run with numpy's
@@ -215,27 +212,19 @@ def integrate_reduced(
         pinned[others] = q
         return potential.gradient(pinned)[others]
 
-    first = sizes[0]
-    edge = 0.5 * first  # the half kick on either side of a step boundary
-    # inside a step, between drifts: (closing half kick, opening half kick, next drift)
-    inner = tuple((0.5 * a, 0.5 * b, b) for a, b in zip(sizes, sizes[1:]))
     qs = np.empty((steps + 1, len(others)))
     ps = np.empty_like(qs)
     qs[0] = initial.q_rel
     ps[0] = initial.p_rel
     q, p = qs[0].copy(), ps[0].copy()
     with np.errstate(all="ignore"):  # a blow-up is reported once, below
-        kick = edge * force(q)
+        f = force(q)
         for step in range(steps):
-            p -= kick
-            q += first * drift.dot(p)
-            for closing, opening, h in inner:
-                f = force(q)
-                p -= closing * f
-                p -= opening * f
+            for h in sizes:
+                p -= 0.5 * h * f
                 q += h * drift.dot(p)
-            kick = edge * force(q)
-            p -= kick
+                f = force(q)
+                p -= 0.5 * h * f
             qs[step + 1] = q
             ps[step + 1] = p
     _check_finite(times, qs, ps)
@@ -271,9 +260,10 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
     """Samples z_0 ... z_steps of the splitting under the linear force -K q.
 
     z = (q, p), and one step is a fixed symplectic matrix M.  Its increment
-    D_1 = M - I comes from running the kick-drift-kick substeps on the
-    identity with only the increment stored, so entries of size dt keep
-    their relative precision.  Then D_j = M^j - I = D_{j-1} + (D_1 + D_1 D_{j-1})
+    D_1 = M - I comes from walking the step-by-step loop's schedule (half
+    kick, drift, half kick for each substep size) on the identity with only
+    the increment stored, so entries of size dt keep their relative
+    precision.  Then D_j = M^j - I = D_{j-1} + (D_1 + D_1 D_{j-1})
     for j <= PROPAGATOR_BLOCK, and each block of samples is
     z_{k+j} = z_k + D_j z_k: a block costs one matrix-vector product.  Both
     recurrences write into preallocated arrays, the samples straight into z.
@@ -286,20 +276,10 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
     m = len(drift)
     eye = np.eye(2 * m)
     dz = np.zeros((2 * m, 2 * m))  # rows q then p, columns the initial (q, p)
-
-    def kick(a):
-        dz[m:] -= a * stiffness.dot(eye[:m] + dz[:m])
-
-    def flow(h):
+    for h in sizes:
+        dz[m:] -= 0.5 * h * stiffness.dot(eye[:m] + dz[:m])
         dz[:m] += h * drift.dot(eye[m:] + dz[m:])
-
-    kick(0.5 * sizes[0])
-    flow(sizes[0])
-    for a, b in zip(sizes, sizes[1:]):
-        kick(0.5 * a)
-        kick(0.5 * b)
-        flow(b)
-    kick(0.5 * sizes[-1])
+        dz[m:] -= 0.5 * h * stiffness.dot(eye[:m] + dz[:m])
 
     block = min(max(steps, 1), PROPAGATOR_BLOCK)
     increments = np.empty((block, 2 * m, 2 * m))

@@ -484,6 +484,8 @@ def _invariant_checks(grid: Grid1D, rng: np.random.Generator) -> dict:
     """Each invariant's value, tolerance and verdict, by name."""
     subsystems = [("B", grid), ("C", grid)]
     results: dict[str, dict] = {}
+    # built before any random draw, so a grid too coarse to hold it fails at once
+    state = ho_eigenstate(grid, "B", 1, alpha=1.0)
 
     def record(name, value, tolerance, larger_is_better=False):
         passed = value >= tolerance if larger_is_better else value <= tolerance
@@ -540,7 +542,6 @@ def _invariant_checks(grid: Grid1D, rng: np.random.Generator) -> dict:
     record("canonical_commutator", abs(value - 1j), 1e-6)
 
     # Wigner marginal against |psi(x)|^2
-    state = ho_eigenstate(grid, "B", 1, alpha=1.0)
     wig = wigner_of_state(state)
     density = np.abs(state.amplitudes) ** 2
     marginal = wig.position_marginal()[::2][: grid.n]

@@ -270,7 +270,8 @@ class GridHamiltonian:
         # ifft runs unscaled (norm="forward"); its 1/N rides on the kinetic phase
         drift = padded(self.kinetic_grid)
         np.exp(np.multiply(-1j * dt, drift, out=drift), out=drift)
-        drift /= rows * cols
+        # a real multiply, exact since N is a power of two
+        np.multiply(drift.view(float), 1.0 / (rows * cols), out=drift.view(float))
         work = padded(amplitudes)
         work *= edge
         arr = work[:, :cols]

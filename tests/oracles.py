@@ -618,7 +618,11 @@ def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order
     as the production propagator, and the same sample blocks z_k + D_j z_k,
     but every product and sum allocates its result instead of writing into a
     preallocated one.  Each sum has the same two operands, so the production
-    path must match it byte for byte.  The span checks are left out.
+    path must match it byte for byte.  D_1 is built with the kicks unrolled
+    across the substep boundaries, a closing and an opening half kick back to
+    back.  That order is kept on purpose: the production loop, a half kick, a
+    drift and a half kick per substep, is checked against a second spelling
+    of the same schedule.  The span checks are left out.
     """
     steps = int(round(t_final / dt))
     others = list(initial.labels)

@@ -373,6 +373,30 @@ class TestCommandLine:
         assert len(lines) == 1 and all(key in lines[0] for key in keys)
         assert not (tmp_path / "out").exists()
 
+    def test_too_coarse_suite_grid_exits_2_before_any_random_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at about 1e5 per sample the first excited state is zero on every
+        # grid point; the suite must say so before any of its O(n^2) draws
+        draws = []
+        draw = experiments.random_wavefunction
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "random_wavefunction", counted)
+        path = tmp_path / "coarse.cfg"
+        path.write_text(
+            "kind = invariant-suite\ngrid_n = 1024\ngrid_length = 1e8\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "cannot normalize the zero state" in lines[0]
+        assert not (tmp_path / "out").exists()
+        assert len(draws) == 0
+
     def test_size_caps_are_inclusive(self):
         cap = experiments.MAX_AXIS_POINTS
         for kind, key, extra in [
