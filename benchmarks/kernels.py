@@ -58,6 +58,13 @@ KERNEL is one of:
   ``classical_frame_switch`` per point, stacked back into arrays.  A child
   runs one warm-up call.  It fails unless the output equals the closed form
   q' = (q_B - q_A, -q_A), p' = (p_B, -(p_A + p_B)).
+* ``energies``: ``Trajectory.energies`` in microseconds per call at N = 3, 5
+  and 9 particles on the ``integrate`` kernel's system and seeded point, for
+  order-2 trajectories of 2,001 and 20,001 samples at dt = 1e-3: the results
+  hold ``N<size>-samples2001`` and ``N<size>-samples20001``.  A child runs
+  one warm-up call per trajectory, then times batches of calls (200 and 20).
+  It fails unless the energies equal, bit for bit, ``np.einsum`` of the
+  kinetic form on the trajectory's uncopied ``p.T`` view plus the potential.
 
 Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
 For every size and each of 11 repeats, each tree is timed in a fresh child
@@ -89,6 +96,7 @@ EVOLVE_STEPS = {128: 100, 256: 50, 512: 20}
 EVOLVE_DT = 1e-2
 INTEGRATE_STEPS = 2000
 INTEGRATE_DT = 1e-3
+ENERGIES_CALLS = {2001: 200, 20001: 20}  # calls per timed batch, by sample count
 STATE_SIZES = (64, 128, 256)
 STATE_BOX = 24.0
 
@@ -164,6 +172,39 @@ for order in (2, 4):
     if drift > 1e-5:
         sys.exit(f"order {order}: relative energy drift {drift:.2e}")
     times.append(1e6 * best / steps)
+print(*times, qrf.__version__)
+"""
+
+ENERGIES_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qrf
+from qrf.classical import FrameLabel, ParticleSystem, ReducedPhasePoint, pin_frame, spring_potential
+from qrf.dynamics import integrate_reduced, kinetic_matrix
+n, dt = int(sys.argv[2]), float(sys.argv[3])
+rng = np.random.default_rng(n)
+system = ParticleSystem(n)
+potential = spring_potential([(i, n - 1, 1.0) for i in range(n - 1)])
+frame = FrameLabel(n - 1)
+point = ReducedPhasePoint(frame, rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
+times = []
+for arg in sys.argv[4:]:
+    samples, calls = map(int, arg.split(":"))
+    trajectory = integrate_reduced(point, potential, system, (samples - 1) * dt, dt)
+    energies = trajectory.energies(potential, system)
+    p = trajectory.p.T
+    reference = np.einsum("i...,ij,j...->...", p, kinetic_matrix(system, frame), p)
+    reference = reference + potential(pin_frame(trajectory.q.T, frame))
+    if len(trajectory) != samples or energies.tobytes() != reference.tobytes():
+        sys.exit(f"{samples} samples: the energies differ from einsum on the p.T view")
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for _ in range(calls):
+            trajectory.energies(potential, system)
+        best = min(best, (time.perf_counter() - start) / calls)
+    times.append(1e6 * best)
 print(*times, qrf.__version__)
 """
 
@@ -389,6 +430,14 @@ KERNELS = {
         {"switch": "C -> A", "seed": 0, "coordinates": "uniform on [-1, 1]",
          "point": "one classical_frame_switch call, timed over 1000 calls",
          "trajectory": "frame_map on (2, K) arrays where the tree has it, else a per-point loop"},
+    ),
+    "energies": Kernel(
+        "Trajectory.energies time", "us per call", "N", (3, 5, 9), ENERGIES_CHILD,
+        lambda n: (n, INTEGRATE_DT, *(f"{s}:{c}" for s, c in ENERGIES_CALLS.items())),
+        {"calls_per_batch": {f"samples{s}": c for s, c in ENERGIES_CALLS.items()},
+         "dt": INTEGRATE_DT, "order": 2,
+         "springs": "k = 1 from every particle to the last", "masses": 1.0, "frame": "last"},
+        series=tuple(f"samples{s}" for s in ENERGIES_CALLS),
     ),
 }
 

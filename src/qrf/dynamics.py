@@ -14,9 +14,8 @@ available where tighter phase accuracy is needed.
 Springs make the force linear, so one step of either splitting is a fixed
 symplectic matrix (Hairer, Lubich & Wanner, Geometric Numerical Integration,
 ch. V), and ``integrate_reduced`` fills a spring trajectory from that matrix's
-powers, 64 steps per matrix-vector product, instead of stepping it in Python.
-It agrees with the step-by-step loop, which every other potential takes, to
-rounding.
+powers, built by doubling, instead of stepping it in Python.  It agrees with
+the step-by-step loop, which every other potential takes, to rounding.
 """
 
 from __future__ import annotations
@@ -137,7 +136,18 @@ def kinetic_matrix(system: ParticleSystem, frame: FrameLabel) -> np.ndarray:
 def reduced_energy(
     q_rel, p_rel, frame: FrameLabel, potential: Potential, system: ParticleSystem
 ):
-    """T(p) + V(q), frame pinned at the origin, over particle-first (N - 1, ...) arrays."""
+    """T(p) + V(q), frame pinned at the origin, over particle-first (N - 1, ...) arrays.
+
+    ``np.einsum`` walks the momenta along their last axis, 2 to 4 times
+    slower when that axis is strided, as in the transpose ``p.T`` of a
+    sample-first (samples, N - 1) array.  Such momenta are handed over as a
+    C-contiguous copy, which gives the same bits.  Momenta whose last axis is
+    contiguous already, the rows of a spring trajectory or the quantum
+    momentum stack, go over as they are: a copy there only costs memory.
+    """
+    p_rel = np.asarray(p_rel)
+    if p_rel.strides[-1] != p_rel.itemsize:
+        p_rel = np.ascontiguousarray(p_rel)
     kinetic = np.einsum("i...,ij,j...->...", p_rel, kinetic_matrix(system, frame), p_rel)
     return kinetic + potential(pin_frame(q_rel, frame))
 
@@ -154,8 +164,8 @@ def reduced_hamiltonian(
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 
-#: Steps the spring propagator takes from one sample: z_{k+j} = z_k + D_j z_k
-#: for j = 1 ... PROPAGATOR_BLOCK, where D_j = M^j - I.
+#: Steps between the spring propagator's block heads z_k, k = 0, 64, ...; the
+#: samples between are z_{k+j} = z_k + D_j z_k, where D_j = M^j - I.
 PROPAGATOR_BLOCK = 64
 
 
@@ -204,8 +214,8 @@ def integrate_reduced(
         z0 = np.concatenate([initial.q_rel, initial.p_rel])
         with np.errstate(all="ignore"):  # a blow-up is reported once, below
             z = _spring_propagator(z0, stiffness[np.ix_(others, others)], drift, sizes, steps)
-        _check_finite(times, z)
-        return _adopt(Trajectory, times, z[:, : len(others)], z[:, len(others) :], initial.frame)
+        _check_finite(times, z.T)
+        return _adopt(Trajectory, times, z[: len(others)].T, z[len(others) :].T, initial.frame)
     pinned = pin_frame(initial.q_rel, initial.frame)  # one buffer; frame slot stays 0
 
     def force(q):
@@ -263,15 +273,24 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
     D_1 = M - I comes from walking the step-by-step loop's schedule (half
     kick, drift, half kick for each substep size) on the identity with only
     the increment stored, so entries of size dt keep their relative
-    precision.  Then D_j = M^j - I = D_{j-1} + (D_1 + D_1 D_{j-1})
-    for j <= PROPAGATOR_BLOCK, and each block of samples is
-    z_{k+j} = z_k + D_j z_k: a block costs one matrix-vector product.  Both
-    recurrences write into preallocated arrays, the samples straight into z.
+    precision.  D_j = M^j - I up to j = PROPAGATOR_BLOCK = 64 follow by
+    doubling, D_{k+i} = D_k + (D_i + D_k D_i), in 6 batched rounds
+    (``_increments``).  The block heads z_{64b} = z_0 + E_b z_0, with
+    E_b = M^{64b} - I, follow by the same doubling started from E_1 = D_64,
+    and every sample is z_{64b+j} = z_{64b} + D_j z_{64b}, j = 0 ... 63,
+    from one batched product over all heads.  No Python loop runs per step
+    or per block: the numpy calls grow with log(steps).  Plain powers M^j
+    never form: a head or sample adds its base point to a small product.
 
-    Against a long-double leapfrog over 2e4 steps this is about 1e-14 off.
-    Plain powers M^j, which round M = I + D_1 at the identity's precision,
-    were about 8e-13 off at order 2; summing D_1 + D_{j-1} first, rather
-    than the two small terms, was 2 to 4 times further off.
+    The samples come back particle-first, shape (2 (N - 1), steps + 1), so
+    each coordinate's history is one contiguous row: the trajectory's
+    ``q.T`` and ``p.T`` read rows, not every 2 (N - 1)-th value.
+
+    Against a long-double leapfrog over 2e4 steps, 8 seeded draws, this is
+    at most 5.4e-15 off at order 2 and 2.6e-14 at order 4.  Plain powers
+    M^j, which round M = I + D_1 at the identity's precision, were about
+    8e-13 off at order 2.  Summing D_k + D_i first instead of the two small
+    terms read 1.3e-14 and 1.6e-14.
     """
     m = len(drift)
     eye = np.eye(2 * m)
@@ -281,24 +300,34 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
         dz[:m] += h * drift.dot(eye[m:] + dz[m:])
         dz[m:] -= 0.5 * h * stiffness.dot(eye[:m] + dz[:m])
 
-    block = min(max(steps, 1), PROPAGATOR_BLOCK)
-    increments = np.empty((block, 2 * m, 2 * m))
-    increments[0] = dz
-    step = np.empty_like(dz)
-    for j in range(1, block):
-        prev = increments[j - 1]
-        np.dot(dz, prev, out=step)
-        step += dz
-        np.add(prev, step, out=increments[j])
-    stacked = increments.reshape(block * 2 * m, 2 * m)
-    z = np.empty((steps + 1, 2 * m))
-    z[0] = z0
-    for k in range(0, steps, block):
-        j = min(block, steps - k)
-        rows = z[k + 1 : k + 1 + j]
-        np.dot(stacked[: j * 2 * m], z[k], out=rows.reshape(-1))
-        rows += z[k]
-    return z
+    increments = _increments(dz, PROPAGATOR_BLOCK)
+    blocks = steps // PROPAGATOR_BLOCK + 1  # heads z_0, z_64, ... up to z_steps
+    heads = z0 + np.matmul(_increments(increments[-1], blocks - 1), z0)
+    z = np.matmul(heads, increments[:-1].transpose(1, 2, 0))  # [row, block, j]
+    z += heads.T[:, :, None]
+    z = z.reshape(2 * m, -1)
+    z[:, 0] = z0  # z_0 + 0 would turn a -0.0 into +0.0
+    return z[:, : steps + 1]  # the last block's samples past steps are dropped
+
+
+def _increments(first, count: int) -> np.ndarray:
+    """D_0 = 0, D_1 = ``first``, ... D_count by doubling: D_{k+i} = D_k + (D_i + D_k D_i).
+
+    A round takes D_1 ... D_k to D_1 ... D_{2k} (the last one stops at
+    ``count``) with one batched product; the two small terms D_i and
+    D_k D_i are summed before D_k is added.
+    """
+    out = np.zeros((count + 1,) + first.shape)
+    out[1:2] = first
+    k = 1
+    while k < count:
+        i = min(k, count - k)
+        new = out[k + 1 : k + 1 + i]
+        np.matmul(out[k], out[1 : i + 1], out=new)
+        new += out[1 : i + 1]
+        new += out[k]
+        k += i
+    return out
 
 
 def analytic_oscillator_frame_c(params: OscillatorParams, t):

@@ -614,15 +614,19 @@ def longdouble_leapfrog(initial, potential, system, t_final, dt, order=2):
 def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order=2):
     """Sampled (q, p) of ``integrate_reduced``'s spring propagator, one fresh array per sum.
 
-    The same increment D_1 and recurrence D_j = D_{j-1} + (D_1 + D_1 D_{j-1})
-    as the production propagator, and the same sample blocks z_k + D_j z_k,
-    but every product and sum allocates its result instead of writing into a
-    preallocated one.  Each sum has the same two operands, so the production
-    path must match it byte for byte.  D_1 is built with the kicks unrolled
-    across the substep boundaries, a closing and an opening half kick back to
-    back.  That order is kept on purpose: the production loop, a half kick, a
-    drift and a half kick per substep, is checked against a second spelling
-    of the same schedule.  The span checks are left out.
+    The same increment D_1, the same doubling D_{k+i} = D_k + (D_i + D_k D_i)
+    to D_0 = 0, D_1 ... D_64 and from E_1 = D_64 to the block heads
+    z_{64b} = z_0 + E_b z_0, the same samples z_{64b+j} = z_{64b} + D_j z_{64b}
+    for j = 0 ... 63, and z_0 kept as given, as the production propagator,
+    but every product and sum allocates its result, and each doubling round
+    is concatenated to the stack so far, instead of writing into a
+    preallocated array.  Each sum has the same two
+    operands, so the production path must match it byte for byte.  D_1 is
+    built with the kicks unrolled across the substep boundaries, a closing
+    and an opening half kick back to back.  That order is kept on purpose:
+    the production loop, a half kick, a drift and a half kick per substep, is
+    checked against a second spelling of the same schedule.  The span checks
+    are left out.
     """
     steps = int(round(t_final / dt))
     others = list(initial.labels)
@@ -650,17 +654,21 @@ def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order
         flow(b)
     kick(0.5 * sizes[-1])
 
-    block = min(max(steps, 1), PROPAGATOR_BLOCK)
-    increments = np.empty((block, 2 * m, 2 * m))
-    increments[0] = dz
-    for j in range(1, block):
-        increments[j] = increments[j - 1] + (dz + dz.dot(increments[j - 1]))
-    stacked = increments.reshape(block * 2 * m, 2 * m)
-    z = np.empty((steps + 1, 2 * m))
-    z[0] = np.concatenate([initial.q_rel, initial.p_rel])
-    for k in range(0, steps, block):
-        j = min(block, steps - k)
-        z[k + 1 : k + 1 + j] = z[k] + stacked[: j * 2 * m].dot(z[k]).reshape(j, 2 * m)
+    def increments_to(first, count):
+        out = np.concatenate([np.zeros((1,) + first.shape), first[None]])[: count + 1]
+        while len(out) <= count:
+            k = len(out) - 1
+            i = min(k, count - k)
+            small = out[1 : i + 1]
+            out = np.concatenate([out, out[k] + (small + np.matmul(out[k], small))])
+        return out
+
+    increments = increments_to(dz, PROPAGATOR_BLOCK)
+    blocks = steps // PROPAGATOR_BLOCK + 1
+    z0 = np.concatenate([initial.q_rel, initial.p_rel])
+    heads = z0 + np.matmul(increments_to(increments[-1], blocks - 1), z0)
+    samples = heads.T[:, :, None] + np.matmul(heads, increments[:-1].transpose(1, 2, 0))
+    z = np.concatenate([z0[:, None], samples.reshape(2 * m, -1)[:, 1 : steps + 1]], axis=1).T
     return z[:, :m], z[:, m:]
 
 

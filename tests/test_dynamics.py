@@ -14,6 +14,7 @@ from qrf.classical import (
     Potential,
     ReducedPhasePoint,
     classical_frame_switch,
+    pin_frame,
     spring_potential,
 )
 from qrf.dynamics import (
@@ -325,9 +326,10 @@ class TestSpringPropagator:
         assert len(traj) == steps + 1
         assert traj.q.tobytes() == q.tobytes() and traj.p.tobytes() == p.tobytes()
 
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 128, 129, 130])
     def test_every_block_length_matches_the_loop(self, steps, rng):
-        # partial last blocks and exact multiples of the block length
+        # partial last blocks and exact multiples of the block length, from
+        # one, two and three block heads
         system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
         potential = spring_potential(ENSEMBLE_SPRINGS)
         rp = ReducedPhasePoint(FRAME_C, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
@@ -336,6 +338,13 @@ class TestSpringPropagator:
         assert len(traj) == steps + 1
         assert_allclose(traj.q, loop.q, rtol=0, atol=1e-14)
         assert_allclose(traj.p, loop.p, rtol=0, atol=1e-14)
+
+    def test_initial_sample_keeps_signed_zeros(self):
+        # the first sample is z_0 as given, not z_0 + D_0 z_0
+        rp = ReducedPhasePoint(FRAME_C, [-0.0, 0.3], [0.1, -0.0])
+        traj = integrate_reduced(rp, spring_potential(ENSEMBLE_SPRINGS), ParticleSystem(3), 1.0, 1e-2)
+        assert np.signbit(traj.q[0]).tolist() == [True, False]
+        assert np.signbit(traj.p[0]).tolist() == [False, True]
 
     def test_never_calls_the_gradient(self, monkeypatch):
         # a Potential is frozen, so the failing force is patched on its class
@@ -498,3 +507,19 @@ class TestTrajectory:
         traj = integrate_reduced(rp, potential, system, 2.0, 1e-2)
         pointwise = [reduced_hamiltonian(traj.point(i), potential, system) for i in range(len(traj))]
         assert_allclose(traj.energies(potential, system), pointwise, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_energies_match_einsum_on_the_strided_momenta_bit_for_bit(self, n, rng):
+        # reduced_energy hands einsum the propagator's padded rows as they are
+        # and a contiguous copy of the loop's strided transpose; both must
+        # give the bits of einsum on the p.T view itself
+        system = ParticleSystem(n, masses=rng.uniform(0.5, 2.0, n))
+        springs = spring_potential([(i, n - 1, 1.0 + i) for i in range(n - 1)])
+        frame = FrameLabel(n - 1)
+        rp = ReducedPhasePoint(frame, rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
+        for potential in (springs, without_stiffness(springs)):
+            traj = integrate_reduced(rp, potential, system, 2000 * 1e-3, 1e-3)
+            assert len(traj) == 2001 and not traj.p.T.flags.c_contiguous
+            kinetic = np.einsum("i...,ij,j...->...", traj.p.T, kinetic_matrix(system, frame), traj.p.T)
+            reference = kinetic + potential(pin_frame(traj.q.T, frame))
+            assert traj.energies(potential, system).tobytes() == reference.tobytes()

@@ -12,9 +12,10 @@ from qrf.classical import (
     FRAME_C,
     FREE_POTENTIAL,
     ParticleSystem,
+    pin_frame,
     spring_potential,
 )
-from qrf.dynamics import OscillatorParams
+from qrf.dynamics import OscillatorParams, kinetic_matrix
 from qrf.errors import FrameMismatch, GridMismatch, InvalidStep, SameFrame
 from qrf.grids import (
     MOMENTUM,
@@ -279,6 +280,19 @@ class TestReducedQuantumHamiltonian:
                 )
         assert np.array_equal(h.potential_grid, potential_ref)
         assert_allclose(h.kinetic_grid, kinetic_ref, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("frame", [FRAME_A, FRAME_B, FRAME_C], ids=lambda f: f.name)
+    def test_kinetic_grid_matches_einsum_on_the_momentum_stack_bit_for_bit(self, grid64, frame):
+        # the grid goes through reduced_energy, which must hand this
+        # contiguous momentum stack to einsum as it is
+        system = ParticleSystem(3, masses=[1.0, 2.0, 1.5])
+        h = reduced_quantum_hamiltonian(
+            frame, FREE_POTENTIAL, system, [(l, grid64) for l in reduced_labels(frame)]
+        )
+        momenta = np.stack(np.meshgrid(grid64.momenta(), grid64.momenta(), indexing="ij"))
+        kinetic = np.einsum("i...,ij,j...->...", momenta, kinetic_matrix(system, frame), momenta)
+        reference = kinetic + FREE_POTENTIAL(pin_frame(np.zeros_like(momenta), frame))
+        assert h.kinetic_grid.tobytes() == reference.tobytes()
 
 
 def unfused_strang(h, psi, t, dt):
