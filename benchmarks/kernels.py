@@ -64,7 +64,9 @@ KERNEL is one of:
   hold ``N<size>-samples2001`` and ``N<size>-samples20001``.  A child runs
   one warm-up call per trajectory, then times batches of calls (200 and 20).
   It fails unless the energies equal, bit for bit, ``np.einsum`` of the
-  kinetic form on the trajectory's uncopied ``p.T`` view plus the potential.
+  kinetic form on the strided ``p.T`` view of a sample-first (samples, N - 1)
+  copy of the momenta plus the potential, so a change of the trajectory's
+  storage layout must keep the energies' bits.
 
 Each SRC is a directory holding the ``qrf`` package (a checkout's ``src/``).
 For every size and each of 11 repeats, each tree is timed in a fresh child
@@ -193,11 +195,11 @@ for arg in sys.argv[4:]:
     samples, calls = map(int, arg.split(":"))
     trajectory = integrate_reduced(point, potential, system, (samples - 1) * dt, dt)
     energies = trajectory.energies(potential, system)
-    p = trajectory.p.T
+    q, p = np.ascontiguousarray(trajectory.q).T, np.ascontiguousarray(trajectory.p).T
     reference = np.einsum("i...,ij,j...->...", p, kinetic_matrix(system, frame), p)
-    reference = reference + potential(pin_frame(trajectory.q.T, frame))
+    reference = reference + potential(pin_frame(q, frame))
     if len(trajectory) != samples or energies.tobytes() != reference.tobytes():
-        sys.exit(f"{samples} samples: the energies differ from einsum on the p.T view")
+        sys.exit(f"{samples} samples: the energies differ from einsum on a sample-first p.T")
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()

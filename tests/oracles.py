@@ -615,12 +615,13 @@ def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order
     """Sampled (q, p) of ``integrate_reduced``'s spring propagator, one fresh array per sum.
 
     The same increment D_1, the same doubling D_{k+i} = D_k + (D_i + D_k D_i)
-    to D_0 = 0, D_1 ... D_64 and from E_1 = D_64 to the block heads
-    z_{64b} = z_0 + E_b z_0, the same samples z_{64b+j} = z_{64b} + D_j z_{64b}
-    for j = 0 ... 63, and z_0 kept as given, as the production propagator,
-    but every product and sum allocates its result, and each doubling round
-    is concatenated to the stack so far, instead of writing into a
-    preallocated array.  Each sum has the same two
+    to D_0 = 0, D_1 ... D_64, the same block heads
+    z_{64(k+i)} = z_{64i} + E_k z_{64i} with E_1 = D_64 and
+    E_{2k} = E_k + (E_k + E_k E_k), the same samples
+    z_{64b+j} = z_{64b} + D_j z_{64b} for j = 0 ... 63, and z_0 kept as given,
+    as the production propagator, but every product and sum allocates its
+    result, and each doubling round is concatenated to the stack so far,
+    instead of writing into a preallocated array.  Each sum has the same two
     operands, so the production path must match it byte for byte.  D_1 is
     built with the kicks unrolled across the substep boundaries, a closing
     and an opening half kick back to back.  That order is kept on purpose:
@@ -654,19 +655,18 @@ def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order
         flow(b)
     kick(0.5 * sizes[-1])
 
-    def increments_to(first, count):
-        out = np.concatenate([np.zeros((1,) + first.shape), first[None]])[: count + 1]
-        while len(out) <= count:
-            k = len(out) - 1
-            i = min(k, count - k)
-            small = out[1 : i + 1]
-            out = np.concatenate([out, out[k] + (small + np.matmul(out[k], small))])
-        return out
-
-    increments = increments_to(dz, PROPAGATOR_BLOCK)
+    increments = np.stack([np.zeros_like(dz), dz])
+    while len(increments) <= PROPAGATOR_BLOCK:
+        k = len(increments) - 1
+        small = increments[1 : min(k, PROPAGATOR_BLOCK - k) + 1]
+        increments = np.concatenate([increments, increments[k] + (small + np.matmul(increments[k], small))])
     blocks = steps // PROPAGATOR_BLOCK + 1
     z0 = np.concatenate([initial.q_rel, initial.p_rel])
-    heads = z0 + np.matmul(increments_to(increments[-1], blocks - 1), z0)
+    heads, e = z0[None], increments[-1]
+    while len(heads) < blocks:
+        earlier = heads[: blocks - len(heads)]
+        heads = np.concatenate([heads, earlier + np.matmul(earlier, e.T)])
+        e = e + (e + np.matmul(e, e))
     samples = heads.T[:, :, None] + np.matmul(heads, increments[:-1].transpose(1, 2, 0))
     z = np.concatenate([z0[:, None], samples.reshape(2 * m, -1)[:, 1 : steps + 1]], axis=1).T
     return z[:, :m], z[:, m:]

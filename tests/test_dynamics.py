@@ -510,16 +510,17 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_energies_match_einsum_on_the_strided_momenta_bit_for_bit(self, n, rng):
-        # reduced_energy hands einsum the propagator's padded rows as they are
-        # and a contiguous copy of the loop's strided transpose; both must
-        # give the bits of einsum on the p.T view itself
+        # both paths store each coordinate's history as a contiguous row; the
+        # energies must keep the bits einsum gives on the strided transpose of
+        # a sample-first (samples, N - 1) copy
         system = ParticleSystem(n, masses=rng.uniform(0.5, 2.0, n))
         springs = spring_potential([(i, n - 1, 1.0 + i) for i in range(n - 1)])
         frame = FrameLabel(n - 1)
         rp = ReducedPhasePoint(frame, rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1))
         for potential in (springs, without_stiffness(springs)):
             traj = integrate_reduced(rp, potential, system, 2000 * 1e-3, 1e-3)
-            assert len(traj) == 2001 and not traj.p.T.flags.c_contiguous
-            kinetic = np.einsum("i...,ij,j...->...", traj.p.T, kinetic_matrix(system, frame), traj.p.T)
-            reference = kinetic + potential(pin_frame(traj.q.T, frame))
+            assert len(traj) == 2001 and traj.p.T.strides[-1] == traj.p.itemsize
+            q, p = np.ascontiguousarray(traj.q).T, np.ascontiguousarray(traj.p).T
+            kinetic = np.einsum("i...,ij,j...->...", p, kinetic_matrix(system, frame), p)
+            reference = kinetic + potential(pin_frame(q, frame))
             assert traj.energies(potential, system).tobytes() == reference.tobytes()

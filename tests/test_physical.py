@@ -283,8 +283,8 @@ class TestReducedQuantumHamiltonian:
 
     @pytest.mark.parametrize("frame", [FRAME_A, FRAME_B, FRAME_C], ids=lambda f: f.name)
     def test_kinetic_grid_matches_einsum_on_the_momentum_stack_bit_for_bit(self, grid64, frame):
-        # the grid goes through reduced_energy, which must hand this
-        # contiguous momentum stack to einsum as it is
+        # the grid goes through reduced_energy, so a change there must keep
+        # the bits of einsum over this particle-first momentum stack
         system = ParticleSystem(3, masses=[1.0, 2.0, 1.5])
         h = reduced_quantum_hamiltonian(
             frame, FREE_POTENTIAL, system, [(l, grid64) for l in reduced_labels(frame)]
