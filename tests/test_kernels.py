@@ -1,10 +1,12 @@
-"""Every ``benchmarks/kernels.py`` child runs once, at its smallest size, on ``src/``.
+"""``benchmarks/kernels.py``: every child runs once on ``src/``, and each tree is the one named.
 
-The harness is not imported by the package, so without this check a renamed
-function or a changed signature would only surface in the next BENCH run.
+The harness is not imported by the package, so without these checks a renamed
+function or a changed signature would only surface in the next BENCH run, and
+a mistyped tree would yield a report of another tree's numbers under its label.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +27,47 @@ def test_kernel_child_runs(name):
     assert len(times) == len(kernel.series)
     assert all(t > 0 for t in times)
     assert version == qrf.__version__
+
+
+def test_a_child_refuses_a_tree_without_qrf(tmp_path, monkeypatch):
+    # src is importable, but it is not the tree asked for
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    kernel = kernels.KERNELS["classical-switch"]
+    with pytest.raises(subprocess.CalledProcessError):
+        kernels.measure(kernel, str(tmp_path), kernel.sizes[0])
+
+
+def test_run_kernel_reports_every_repeat_of_every_label(monkeypatch):
+    monkeypatch.setattr(kernels, "REPEATS", 2)
+    src = str(ROOT / "src")
+    report = kernels.run_kernel("switch", [("parent", src), ("change", src)])
+    assert set(report) == {
+        "kernel", "metric", "unit", "settings", "repeats", "environment", "versions", "results",
+    }
+    assert report["repeats"] == 2
+    assert report["versions"] == {"parent": qrf.__version__, "change": qrf.__version__}
+    kernel = kernels.KERNELS["switch"]
+    keys = {f"n{n}-{series}" for n in kernel.sizes for series in kernel.series}
+    assert set(report["results"]) == keys
+    for key in keys:
+        assert set(report["results"][key]) == {"parent", "change"}
+        for summary in report["results"][key].values():
+            assert set(summary) == {"median", "q1", "q3", "values"}
+            assert len(summary["values"]) == 2
+            assert summary["q1"] <= summary["median"] <= summary["q3"]
+
+
+@pytest.mark.parametrize(
+    "trees",
+    [["nosuch"], ["=src"], ["a=src", "a=src"], ["a=tests"]],
+    ids=["no-equals", "no-label", "repeated-label", "no-package"],
+)
+def test_main_rejects_a_malformed_tree(trees, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        kernels.main(["classical-switch", *trees, "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and err.count("error:") == 1 and "Traceback" not in err
+    assert not out.exists()

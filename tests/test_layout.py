@@ -7,8 +7,9 @@ Exactly four package functions reach ``numpy.fft``: the one centered transform,
 The caller's representation is restored by one helper,
 ``qrf.grids.to_matching``.  Reduced energies, classical and quantum, are
 evaluated by one broadcasting path (``qrf.dynamics.reduced_energy``), never
-point by point.  No module of the package or of the tests imports a name it
-never uses; the package root is exempt, because its imports are re-exports.
+point by point.  No module of the package, of the tests or of the kernel
+harness imports a name it never uses; the package root is exempt, because its
+imports are re-exports.
 Every module-level function of the package has a caller inside it or is
 re-exported by the root: code that only the tests use lives in the tests.
 """
@@ -31,6 +32,7 @@ from qrf.physical import GridHamiltonian, reduced_quantum_hamiltonian
 PACKAGE = Path(qrf.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+HARNESS = Path(__file__).resolve().parents[1] / "benchmarks" / "kernels.py"
 # the oracles' former home inside the package; its case asserts it stays gone
 ORACLE_MODULE = "dense.py"
 
@@ -207,7 +209,7 @@ def _unused_imports(tree):
 
 @pytest.mark.parametrize(
     "path",
-    [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
+    [p for p in SOURCES if p.name != "__init__.py"] + TESTS + [HARNESS],
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
 def test_every_imported_name_is_used(path):
