@@ -73,14 +73,19 @@ first on ``sys.path``, exits non-zero unless it imported SRC's own ``qrf``,
 and prints the fastest of three timed calls (one time per series), then the
 tree's ``qrf.__version__``.  The JSON holds, per size and tree, every
 repeat's value with their median and quartiles, plus the kernel's settings,
-the machine, and each tree's library version under ``versions``.  The file
-is ``{"kernels": [...]}``, one such report per kernel named, in the order
-given.
+the machine, each tree's library version under ``versions`` and, under
+``fingerprints``, each tree's ``sources_sha256`` (the SHA-256 of its
+``qrf/*.py``, names and contents in sorted order) and ``git_head`` (``git
+rev-parse HEAD`` in SRC, null outside a git checkout; it does not see
+uncommitted edits, the hash does), so two trees of one version stay apart.
+The file is ``{"kernels": [...]}``, one such report per kernel named, in the
+order given.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -406,6 +411,21 @@ def measure(kernel, src, size):
     return [float(value) for value in values], version
 
 
+def fingerprint(src):
+    """SRC's ``sources_sha256`` and ``git_head`` (module docstring)."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(src, "qrf").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    try:
+        git = subprocess.run(["git", "-C", src, "rev-parse", "HEAD"], capture_output=True, text=True)
+    except OSError:  # no git on this machine
+        git = None
+    head = git.stdout.strip() if git and git.returncode == 0 else None
+    return {"sources_sha256": digest.hexdigest(), "git_head": head}
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -455,6 +475,7 @@ def run_kernel(name, trees):
         "repeats": REPEATS,
         "environment": environment(),
         "versions": versions,
+        "fingerprints": {label: fingerprint(os.path.abspath(src)) for label, src in trees},
         "results": results,
     }
 

@@ -8,8 +8,8 @@ three reductions of one state are related by the unimodular substitutions
     psi_{AB|C}(p_A, p_B) = psi_{BC|A}(p_B, -p_A - p_B)   (and label permutations),
 
 which on commensurate momentum grids (equal dp on all axes) map grid points to
-grid points and are implemented here as exact index permutations.  The physical
-inner product is the plain two-axis inner product of any common reduction.
+grid points: they are ``frame_map``'s integer momentum block on the lattice.  The
+physical inner product is the plain two-axis inner product of any common reduction.
 A frame-F reduction is tagged F, has the axes ``reduced_labels(F)`` and one
 shared grid; :func:`reduction_grid` is the one check of that contract.
 
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .classical import (
     FREE_POTENTIAL,
@@ -39,6 +38,7 @@ from .classical import (
     Potential,
     _adopt,
     _hold,
+    frame_map,
     pin_frame,
 )
 from .dynamics import reduced_energy
@@ -52,11 +52,10 @@ from .grids import (
     inner_product,
     to_matching,
     to_representation,
-    with_axis_order,
 )
 
 
-@functools.cache  # read up to five times per switch, by each reduction check and by remaining
+@functools.cache  # up to 5 reads per switch: 2 reduction checks, the output's labels, remaining x2
 def reduced_labels(frame: FrameLabel) -> tuple[str, str]:
     """Axis labels of the frame's reduction, in ascending particle order."""
     if frame.index not in (0, 1, 2):
@@ -85,40 +84,40 @@ def reduction_grid(psi: WaveFunction, frame: FrameLabel | None) -> Grid1D:
     return next(iter(grids))
 
 
+@functools.cache  # one 2x2 block per ordered frame pair, at most six
+def _momentum_block(old: FrameLabel, new: FrameLabel) -> tuple[tuple[int, int], ...]:
+    """``frame_map``'s momentum block from frame ``new`` back to ``old``, as plain ints.
+
+    A frame-``new`` momentum point m (axes ``reduced_labels(new)``) is the
+    frame-``old`` point ``block @ m`` (axes ``reduced_labels(old)``).
+    """
+    return tuple(tuple(int(x) for x in row) for row in frame_map(np.eye(2), np.eye(2), new, old)[1])
+
+
 def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunction:
     """Re-express a reduced two-axis amplitude relative to another frame.
 
-    Exact on commensurate grids: the substitution is unimodular, so it
-    permutes momentum grid points and preserves the norm identically (the
-    amplitudes that wrap around the momentum window are the ones the boundary
-    decay requirement makes negligible).
-
-    With new frame F, remaining particle R, old frame O and axis index
-    i = m + n/2, the map is out[i_O, i_R] = in[(n/2 - i_O - i_R) mod n, i_R]:
-    F's axis is reversed about n/2 and read along the diagonals i_O + i_R,
-    which one strided view of the twice-stacked reversed array does.
+    Each output momentum point reads the input at its image under
+    :func:`_momentum_block`.  The block's entries are integers, so on
+    commensurate grids the map permutes grid points and preserves the norm
+    identically (the amplitudes that wrap around the momentum window are the
+    ones the boundary decay requirement makes negligible).
     """
     old_frame = psi.frame
     grid = reduction_grid(psi, old_frame)
     if new_frame == old_frame:
         raise SameFrame(f"already reduced relative to {old_frame.name}")
+    out_labels = reduced_labels(new_frame)  # its ValueError precedes frame_map's IndexError
     n = grid.n
-    out_labels = reduced_labels(new_frame)
-    remaining = next(label for label in out_labels if label != old_frame.name)
-    work = with_axis_order(to_representation(psi, MOMENTUM), (new_frame.name, remaining))
-    # rows k and k + n both hold in[(n/2 - k) mod n]
-    stacked = work.amplitudes[(n // 2 - np.arange(2 * n)) % n]
-    row, col = stacked.strides
-    skew = as_strided(stacked, (n, n), (row, row + col))  # [i_O, i_R]
-    if out_labels[0] == remaining:
-        skew = skew.T
-    return _adopt(
-        WaveFunction,
-        [(label, grid) for label in out_labels],
-        np.ascontiguousarray(skew),
-        MOMENTUM,
-        new_frame,
-    )
+    m = np.arange(n, dtype=np.int32) - n // 2  # int32: n^2 < 2^31 on any grid that fits in memory
+    block = _momentum_block(old_frame, new_frame)
+    rows, cols = (np.add.outer(a * m + n // 2, b * m) for a, b in block)  # the axis index m + n/2
+    rows &= n - 1  # wrapped by a mask: Grid1D's n is a power of two
+    rows *= n
+    cols &= n - 1
+    rows += cols
+    out = to_representation(psi, MOMENTUM).amplitudes.take(rows)
+    return _adopt(WaveFunction, [(label, grid) for label in out_labels], out, MOMENTUM, new_frame)
 
 
 @dataclass(frozen=True)

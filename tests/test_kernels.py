@@ -42,10 +42,15 @@ def test_run_kernel_reports_every_repeat_of_every_label(monkeypatch):
     src = str(ROOT / "src")
     report = kernels.run_kernel("switch", [("parent", src), ("change", src)])
     assert set(report) == {
-        "kernel", "metric", "unit", "settings", "repeats", "environment", "versions", "results",
+        "kernel", "metric", "unit", "settings", "repeats", "environment", "versions",
+        "fingerprints", "results",
     }
     assert report["repeats"] == 2
     assert report["versions"] == {"parent": qrf.__version__, "change": qrf.__version__}
+    expected = kernels.fingerprint(src)
+    assert report["fingerprints"] == {"parent": expected, "change": expected}
+    assert set(expected) == {"sources_sha256", "git_head"}
+    assert len(expected["sources_sha256"]) == 64
     kernel = kernels.KERNELS["switch"]
     keys = {f"n{n}-{series}" for n in kernel.sizes for series in kernel.series}
     assert set(report["results"]) == keys
@@ -55,6 +60,20 @@ def test_run_kernel_reports_every_repeat_of_every_label(monkeypatch):
             assert set(summary) == {"median", "q1", "q3", "values"}
             assert len(summary["values"]) == 2
             assert summary["q1"] <= summary["median"] <= summary["q3"]
+
+
+def test_trees_one_byte_apart_have_different_fingerprints(tmp_path):
+    trees = []
+    for name in ("a", "b"):
+        package = tmp_path / name / "qrf"
+        package.mkdir(parents=True)
+        for path in (ROOT / "src" / "qrf").glob("*.py"):
+            (package / path.name).write_bytes(path.read_bytes())
+        trees.append(package)
+    edited = trees[1] / "physical.py"
+    edited.write_bytes(edited.read_bytes() + b" ")
+    first, second = (kernels.fingerprint(str(package.parent)) for package in trees)
+    assert first["sources_sha256"] != second["sources_sha256"]
 
 
 @pytest.mark.parametrize(

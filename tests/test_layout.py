@@ -12,6 +12,9 @@ harness imports a name it never uses; the package root is exempt, because its
 imports are re-exports.
 Every module-level function of the package has a caller inside it or is
 re-exported by the root: code that only the tests use lives in the tests.
+The quantum frame change reads its lattice permutation from
+``qrf.classical.frame_map``, the one perspective map, and builds no strided
+view of its own.
 """
 
 import ast
@@ -247,3 +250,19 @@ def test_every_package_function_has_a_caller():
         if isinstance(node, ast.FunctionDef) and node.name not in referenced
     ]
     assert not orphans, f"package functions with no caller in the package: {orphans}"
+
+
+def test_physical_builds_no_strided_view():
+    assert "as_strided" not in _referenced_names(_tree(PACKAGE / "physical.py"))
+
+
+def test_the_quantum_frame_change_reads_frame_map():
+    # directly or through one module-level helper; the parity-shear backend is
+    # the independent cross-check and derives the map itself
+    path = PACKAGE / "physical.py"
+    substitution = _function(path, "momentum_substitution")
+    helpers = [node for node in _tree(path).body if isinstance(node, ast.FunctionDef)]
+    readers = [substitution] + [node for node in helpers if any(_calls(substitution, node.name))]
+    assert any(any(_calls(node, "frame_map")) for node in readers), (
+        "momentum_substitution derives its permutation by hand"
+    )

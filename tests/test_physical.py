@@ -11,6 +11,7 @@ from qrf.classical import (
     FRAME_B,
     FRAME_C,
     FREE_POTENTIAL,
+    FrameLabel,
     ParticleSystem,
     pin_frame,
     spring_potential,
@@ -134,15 +135,30 @@ class TestReexpress:
         moved = momentum_substitution(psi, FRAME_B)
         assert moved.norm() == pytest.approx(psi.norm(), abs=1e-14)
 
+    def test_errors_keep_their_order(self, grid64, rng):
+        # the state's tag, then the same frame, then the frame's range: never frame_map's IndexError
+        psi = random_wavefunction([("B", grid64), ("C", grid64)], rng, frame=FRAME_A)
+        with pytest.raises(ValueError, match="quantum reductions are defined for three particles"):
+            momentum_substitution(psi, FrameLabel(3))
+        with pytest.raises(SameFrame):
+            momentum_substitution(psi, FRAME_A)
+        mistagged = psi._with(psi.amplitudes, frame=FRAME_B)
+        for new_frame in (FRAME_A, FRAME_B, FRAME_C, FrameLabel(3)):
+            with pytest.raises(FrameMismatch):
+                momentum_substitution(mistagged, new_frame)
+
 
 class TestStridedGather:
     """The substitution permutes amplitudes without arithmetic, so its bytes are fixed.
 
-    Bytes, not array_equal: equal values could still differ in the sign of a
-    zero, and the references run the same permutation another way.
+    It gathers through ``frame_map``'s integer momentum block, wrapped into the
+    window; the meshgrid reference solves the momentum constraint for each
+    output point instead, so it stays independent of ``frame_map``.  At n = 8
+    nearly every index wraps.  Bytes, not array_equal: equal values could
+    still differ in the sign of a zero.
     """
 
-    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    @pytest.mark.parametrize("n", [8, 16, 64, 128, 256])
     @given(seed=SEEDS, representation=st.sampled_from([POSITION, MOMENTUM, "mixed"]))
     @settings(max_examples=4, deadline=None)
     def test_matches_the_meshgrid_gather(self, n, seed, representation):
