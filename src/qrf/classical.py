@@ -109,9 +109,11 @@ class ParticleSystem:
         if not np.all((0 < self.masses) & (self.masses < np.inf)):  # NaN fails it
             raise ValueError(f"all masses must be positive and finite, got {self.masses}")
 
-    def check_frame(self, frame: FrameLabel) -> None:
-        if frame.index >= self.n:
-            raise ValueError(f"frame index {frame.index} out of range for n={self.n}")
+
+def _check_frame(k: int, n: int) -> None:
+    """The one frame-index rule: particle ``k`` must be one of the ``n``."""
+    if k >= n:  # FrameLabel has already refused a negative k
+        raise ValueError(f"frame index {k} out of range for {n} particles")
 
 
 def _check_coordinates(q: np.ndarray, p: np.ndarray) -> None:
@@ -155,8 +157,7 @@ class ReducedPhasePoint:
     def __post_init__(self, adopt: bool = False):
         _hold(self, "q_rel", "p_rel", copy=not adopt)
         _check_coordinates(self.q_rel, self.p_rel)
-        if self.frame.index > self.q_rel.shape[0]:
-            raise ValueError("frame index exceeds particle count implied by coordinates")
+        _check_frame(self.frame.index, self.q_rel.shape[0] + 1)
 
     @property
     def n(self) -> int:
@@ -260,11 +261,13 @@ def gauge_flow(point: ExtendedPhasePoint, s: float) -> ExtendedPhasePoint:
 
 
 def pin_frame(values, frame: FrameLabel, fill=0.0) -> np.ndarray:
-    """Insert the frame particle's slot, holding ``fill``: (N - 1, ...) -> (N, ...)."""
+    """Insert the frame particle's slot, holding ``fill``: (N - 1, ...) -> (N, ...).
+
+    A frame index of N or more raises ``ValueError``.
+    """
     values = np.asarray(values, dtype=float)
     k = frame.index
-    if k > values.shape[0]:
-        raise IndexError(f"frame index {k} out of range for {values.shape[0] + 1} particles")
+    _check_frame(k, values.shape[0] + 1)
     out = np.empty((values.shape[0] + 1,) + values.shape[1:])
     out[:k] = values[:k]
     out[k] = fill
@@ -280,9 +283,7 @@ def _frame_rows(n: int, old: int, new: int):
     output row ``s`` gathers the new frame's input row ``r`` as a placeholder,
     since ``frame_map`` writes that row itself.  ``None`` for old == new.
     """
-    for k in (old, new):
-        if k >= n:
-            raise IndexError(f"frame index {k} out of range for {n} particles")
+    _check_frame(max(old, new), n)
     if old == new:
         return None
     labels = [i for i in range(n) if i != new]  # the output rows' particles
@@ -302,7 +303,7 @@ def frame_map(q_rel, p_rel, old: FrameLabel, new: FrameLabel):
     is bit-identical to it, signed zeros included (stacks: N <= 8).  q and p
     may stack different trailing shapes.  Linear, entries 0 and +-1:
     ``frame_map(eye, eye, old, new)`` gives its blocks.  A frame index of N
-    or more raises ``IndexError``.
+    or more raises ``ValueError``.
     """
     q_rel = np.asarray(q_rel, dtype=float)
     p_rel = np.asarray(p_rel, dtype=float)
@@ -333,8 +334,7 @@ def embed_reduced(rp: ReducedPhasePoint) -> ExtendedPhasePoint:
 
 def project_reduced(point: ExtendedPhasePoint, frame: FrameLabel) -> ReducedPhasePoint:
     """Drop the frame particle's coordinates from a gauge-fixed on-surface point."""
-    if frame.index >= point.n:
-        raise ValueError(f"frame index {frame.index} out of range for n={point.n}")
+    _check_frame(frame.index, point.n)
     momentum = total_momentum(point)
     if abs(momentum) > CONSTRAINT_TOL:
         raise ConstraintViolation(
@@ -351,12 +351,9 @@ def project_reduced(point: ExtendedPhasePoint, frame: FrameLabel) -> ReducedPhas
 
 def classical_frame_switch(rp: ReducedPhasePoint, new_frame: FrameLabel) -> ReducedPhasePoint:
     """Re-describe a reduced point from the perspective of another particle."""
-    k, n = new_frame.index, rp.q_rel.shape[0] + 1  # plain integers: this runs on every switched point
-    if k == rp.frame.index:
+    if new_frame.index == rp.frame.index:  # plain integers: this runs on every switched point
         raise SameFrame(f"already in frame {rp.frame.name}")
-    if k >= n:
-        raise ValueError(f"frame index {k} out of range for n={n}")
-    q_rel, p_rel = frame_map(rp.q_rel, rp.p_rel, rp.frame, new_frame)
+    q_rel, p_rel = frame_map(rp.q_rel, rp.p_rel, rp.frame, new_frame)  # checks new_frame's range
     return _adopt(ReducedPhasePoint, new_frame, q_rel, p_rel)
 
 

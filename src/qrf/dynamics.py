@@ -34,6 +34,7 @@ from .classical import (
     ReducedPhasePoint,
     ExtendedPhasePoint,
     _adopt,
+    _check_frame,
     _hold,
     frame_map,
     pin_frame,
@@ -139,7 +140,7 @@ def total_hamiltonian(
 
 def kinetic_matrix(system: ParticleSystem, frame: FrameLabel) -> np.ndarray:
     """Symmetric matrix M with T(p) = p @ M @ p on the frame's reduction."""
-    system.check_frame(frame)
+    _check_frame(frame.index, system.n)
     m = system.masses
     return 0.5 * (np.diag(1.0 / np.delete(m, frame.index)) + 1.0 / m[frame.index])
 
@@ -167,6 +168,14 @@ _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 #: Steps between the spring propagator's block heads z_k, k = 0, 64, ...; the
 #: samples between are z_{k+j} = z_k + D_j z_k, where D_j = M^j - I.
 PROPAGATOR_BLOCK = 64
+
+
+def _step_count(t: float, dt: float) -> int:
+    """round(t / dt) steps of size dt; ``InvalidStep`` unless dt > 0 and t >= 0 are finite."""
+    # written so that NaN fails every comparison; t / dt must stay finite
+    if not (0 < dt < math.inf and 0 <= t / dt < math.inf):
+        raise InvalidStep(f"need finite dt > 0 and t >= 0, got dt={dt}, t={t}")
+    return int(round(t / dt))
 
 
 def integrate_reduced(
@@ -197,14 +206,11 @@ def integrate_reduced(
     naming the first such step and its time; the steps run with numpy's
     floating-point warnings off, so that error is the only report.
     """
-    # written so that NaN fails every comparison; t_final / dt must stay finite
-    if not (0 < dt < math.inf and 0 <= t_final / dt < math.inf):
-        raise InvalidStep(f"need finite dt > 0 and t_final >= 0, got dt={dt}, t_final={t_final}")
+    steps = _step_count(t_final, dt)
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     if initial.n != system.n:
         raise ValueError(f"initial point has {initial.n} particles, the system {system.n}")
-    steps = int(round(t_final / dt))
     sizes = (dt,) if order == 2 else (_YOSHIDA_W1 * dt, _YOSHIDA_W0 * dt, _YOSHIDA_W1 * dt)
     others = np.array(initial.labels, dtype=int)
     drift = 2.0 * kinetic_matrix(system, initial.frame)  # dq/dt = dT/dp

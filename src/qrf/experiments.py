@@ -26,11 +26,7 @@ import numpy as np
 
 from . import __version__
 from .classical import FRAME_A, FRAME_C, FrameLabel, ReducedPhasePoint, frame_map
-from .dynamics import (
-    OscillatorParams,
-    analytic_oscillator_frame_c,
-    integrate_reduced,
-)
+from .dynamics import OscillatorParams, _step_count, analytic_oscillator_frame_c, integrate_reduced
 from .errors import ConfigError, NumericalFailure, UnknownFigure
 from .grids import (
     BOUNDARY_DECAY_TOL,
@@ -413,7 +409,7 @@ def _run_classical_trajectory(config: ExperimentConfig, v: dict):
         raise ConfigError(
             f"t_final / dt = {steps:.3g} asks for more than {MAX_TRAJECTORY_ROWS} rows"
         )
-    times = np.arange(int(round(steps)) + 1) * v["dt"]
+    times = np.arange(_step_count(v["t_final"], v["dt"]) + 1) * v["dt"]
     x_a, x_b = analytic_oscillator_frame_c(params, times)
     # the C -> A map of the positions, which no momentum enters
     q_b, q_c = frame_map(np.array((x_a, x_b)), np.zeros(2), FRAME_C, FRAME_A)[0]

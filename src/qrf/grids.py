@@ -327,6 +327,14 @@ def relabel_axis(psi: WaveFunction, old: str, new: str, frame=None) -> WaveFunct
     return psi._with(psi.amplitudes, subsystems=subsystems, frame=frame)
 
 
+def _check_eigenstate(level: int, alpha: float) -> None:
+    """The one oscillator-eigenstate rule: level 0 or 1, alpha positive and finite."""
+    if level not in (0, 1):
+        raise ValueError(f"only levels 0 and 1 are provided, got {level}")
+    if not (0 < alpha < math.inf):  # written so that NaN fails it
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def gaussian_state(
     grid: Grid1D,
     label: str,
@@ -336,6 +344,7 @@ def gaussian_state(
     frame: FrameLabel | None = None,
 ) -> WaveFunction:
     """Normalized Gaussian exp(-alpha (x - c)^2 / 2 + i k x) on one axis."""
+    _check_eigenstate(0, alpha)  # a displaced, kicked ground state: the same width rule
     x = grid.positions()
     amp = np.exp(-0.5 * alpha * (x - center) ** 2 + 1j * momentum * x)
     psi = _adopt(WaveFunction, [(label, grid)], amp, POSITION, frame)
@@ -348,8 +357,7 @@ def ho_eigenstate(grid: Grid1D, label: str, level: int, alpha: float = 1.0) -> W
     psi0 = (alpha/pi)^(1/4) exp(-alpha x^2 / 2),
     psi1 = sqrt(2) (alpha^3/pi)^(1/4) x exp(-alpha x^2 / 2).
     """
-    if level not in (0, 1):
-        raise ValueError(f"only levels 0 and 1 are provided, got {level}")
+    _check_eigenstate(level, alpha)
     x = grid.positions()
     envelope = np.exp(-0.5 * alpha * x**2)
     if level == 0:

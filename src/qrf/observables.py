@@ -19,7 +19,7 @@ the invariant suite's canonical commutator uses the algebra, through
 from __future__ import annotations
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class Observable:
     def __init__(self, terms: dict | None = None):
         clean = {}
         for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)  # the constructors turn power 0 into the constant
+            if not all(isinstance(power, Integral) and power > 0 for _, power in mono):
+                raise ValueError(f"factor powers must be positive integers, got {mono}")
             if isinstance(coeff, Real):
                 coeff = float(coeff)
             else:
@@ -63,7 +66,7 @@ class Observable:
                 if coeff.imag == 0:
                     coeff = coeff.real
             if coeff != 0:
-                clean[tuple(mono)] = clean.get(tuple(mono), 0) + coeff
+                clean[mono] = clean.get(mono, 0) + coeff
         self._terms = _clean(clean)
 
     # -- constructors -------------------------------------------------------

@@ -26,7 +26,6 @@ must reproduce.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,8 @@ from .classical import (
     frame_map,
     pin_frame,
 )
-from .dynamics import reduced_energy
-from .errors import FrameMismatch, GridMismatch, InvalidStep, SameFrame
+from .dynamics import _step_count, reduced_energy
+from .errors import FrameMismatch, GridMismatch, SameFrame
 from .grids import (
     MOMENTUM,
     POSITION,
@@ -107,7 +106,7 @@ def momentum_substitution(psi: WaveFunction, new_frame: FrameLabel) -> WaveFunct
     grid = reduction_grid(psi, old_frame)
     if new_frame == old_frame:
         raise SameFrame(f"already reduced relative to {old_frame.name}")
-    out_labels = reduced_labels(new_frame)  # its ValueError precedes frame_map's IndexError
+    out_labels = reduced_labels(new_frame)  # its message precedes frame_map's range check
     n = grid.n
     m = np.arange(n, dtype=np.int32) - n // 2  # int32: n^2 < 2^31 on any grid that fits in memory
     block = _momentum_block(old_frame, new_frame)
@@ -232,10 +231,7 @@ class GridHamiltonian:
         a step returns psi itself.
         """
         self._check(psi)
-        # written so that NaN fails every comparison; t / dt must stay finite
-        if not (0 < dt < math.inf and 0 <= t / dt < math.inf):
-            raise InvalidStep(f"need finite dt > 0 and t >= 0, got dt={dt}, t={t}")
-        steps = int(round(t / dt))
+        steps = _step_count(t, dt)
         if steps == 0:
             return psi
         arr = self._strang_steps(to_representation(psi, POSITION).amplitudes, steps, dt)

@@ -62,6 +62,7 @@ from .grids import (
     WaveFunction,
     _alternating,
     _along_axis,
+    _check_eigenstate,
     to_representation,
 )
 from .physical import reduced_labels
@@ -241,14 +242,6 @@ def wigner_of_state(psi: WaveFunction) -> WignerGrid:
 
 
 _EIGENSTATE_POLYNOMIALS = {0: (1.0, 0.0, 0.0), 1: (-1.0, 2.0, 2.0)}
-
-
-def _check_eigenstate(level: int, alpha: float) -> None:
-    if level not in _EIGENSTATE_POLYNOMIALS:
-        raise ValueError(f"only levels 0 and 1 are provided, got {level}")
-    # written so that NaN fails it
-    if not (0 < alpha < math.inf):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def eigenstate_wigner_values(level: int, alpha: float, x, xi) -> np.ndarray:

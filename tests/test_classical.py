@@ -28,6 +28,7 @@ from qrf.classical import (
     spring_potential,
     total_momentum,
 )
+from qrf.dynamics import kinetic_matrix
 from qrf.errors import ConstraintViolation, SameFrame
 
 from oracles import (
@@ -155,7 +156,7 @@ class TestFrameSwitch:
 
     def test_new_frame_out_of_range_rejected(self):
         rp = ReducedPhasePoint(FRAME_A, [1, 3], [2, 4])
-        with pytest.raises(ValueError, match=r"frame index 3 out of range for n=3"):
+        with pytest.raises(ValueError, match=r"frame index 3 out of range for 3 particles"):
             classical_frame_switch(rp, FrameLabel(3))
 
     def test_large_momenta_switch(self):
@@ -249,7 +250,7 @@ class TestFrameMap:
     @pytest.mark.parametrize("old, new", [(3, 0), (0, 3), (7, 7)])
     def test_frame_out_of_range_raises(self, old, new):
         q = np.zeros(2)  # three particles
-        with pytest.raises(IndexError, match="out of range for 3 particles"):
+        with pytest.raises(ValueError, match="out of range for 3 particles"):
             frame_map(q, q, FrameLabel(old), FrameLabel(new))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -470,7 +471,7 @@ class TestPinFrame:
 
     @pytest.mark.parametrize("index", [3, 4, 9])
     def test_frame_index_out_of_range_raises(self, index, rng):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=f"frame index {index} out of range for 3 particles"):
             pin_frame(rng.uniform(-1, 1, (2, 3)), FrameLabel(index))
 
 
@@ -507,3 +508,27 @@ class TestTypes:
         rp = ReducedPhasePoint(FRAME_B, [1.0, 2.0], [0.0, 0.0])
         assert rp.labels == (0, 2)
         assert rp.n == 3
+
+
+ORIGIN = ExtendedPhasePoint([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+OUT_OF_RANGE = "frame index 3 out of range for 3 particles"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        # the frame-index rule: the same type and message as frame_map, pin_frame
+        # and classical_frame_switch (their own tests above)
+        (lambda: ReducedPhasePoint(FrameLabel(3), [1.0, 2.0], [0.0, 0.0]), ValueError, OUT_OF_RANGE),
+        (lambda: project_reduced(ORIGIN, FrameLabel(3)), ValueError, OUT_OF_RANGE),
+        (lambda: kinetic_matrix(ParticleSystem(3), FrameLabel(3)), ValueError, OUT_OF_RANGE),
+        (lambda: FrameLabel(-1), ValueError, "frame index must be non-negative, got -1"),
+        (lambda: ParticleSystem(3, masses=[1.0, np.nan, 1.0]), ValueError, "positive and finite"),
+        (lambda: spring_potential([(-1, 0, 1.0)]), ValueError, "spring indices must be non-negative"),
+    ],
+    ids=["reduced-point-frame", "project-frame", "kinetic-matrix-frame", "negative-frame",
+         "nan-mass", "negative-spring-index"],
+)
+def test_each_documented_input_error_raises_its_type(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -128,8 +128,9 @@ class TestIntegrateReduced:
 
     @pytest.mark.parametrize(
         "t_final, dt",
-        [(-5.0, 1e-2), (float("nan"), 1e-2), (float("inf"), 1e-2), (1.0, float("nan")), (1.0, float("inf"))],
-        ids=["t_final-negative", "t_final-nan", "t_final-inf", "dt-nan", "dt-inf"],
+        [(-5.0, 1e-2), (float("nan"), 1e-2), (float("inf"), 1e-2), (1.0, float("nan")), (1.0, float("inf")),
+         (1.0, -1e-2)],
+        ids=["t_final-negative", "t_final-nan", "t_final-inf", "dt-nan", "dt-inf", "dt-negative"],
     )
     def test_invalid_span_rejected(self, t_final, dt):
         rp = ReducedPhasePoint(FRAME_A, [0.0, 0.0], [0.0, 0.0])
@@ -524,3 +525,23 @@ class TestTrajectory:
             kinetic = np.einsum("i...,ij,j...->...", p, kinetic_matrix(system, frame), p)
             reference = kinetic + potential(pin_frame(q, frame))
             assert traj.energies(potential, system).tobytes() == reference.tobytes()
+
+
+REST_A = ReducedPhasePoint(FRAME_A, [0.0, 0.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: integrate_reduced(REST_A, FREE_POTENTIAL, ParticleSystem(3), 1.0, 0.1, order=3),
+         ValueError, "order must be 2 or 4, got 3"),
+        (lambda: OscillatorParams(m_c=0.0), ValueError, "m_c must be positive and finite"),
+        (lambda: OscillatorParams(a0=np.nan), ValueError, "a0 must be finite"),
+        (lambda: Trajectory(np.arange(3.0), np.zeros((2, 2)), np.zeros((2, 2)), FRAME_A),
+         ValueError, "inconsistent trajectory shapes"),
+    ],
+    ids=["order-3", "zero-mass", "nan-amplitude", "trajectory-shapes"],
+)
+def test_each_documented_input_error_raises_its_type(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -232,6 +232,17 @@ class TestStateBuilders:
         assert prod.frame == FRAME_A
         assert prod.norm() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan, math.inf])
+    def test_widths_must_be_positive_and_finite(self, grid64, alpha):
+        # both builders read the oscillator eigenstate's one width rule
+        for build in (
+            lambda: gaussian_state(grid64, "B", alpha=alpha),
+            lambda: ho_eigenstate(grid64, "B", 0, alpha=alpha),
+            lambda: ho_eigenstate(grid64, "B", 1, alpha=alpha),
+        ):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                build()
+
     def test_axis_reorder(self, grid64, rng):
         psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
         swapped = with_axis_order(psi, ("C", "B"))
@@ -304,3 +315,33 @@ class TestByteIdentity:
             back = change_representation(mom, label, POSITION)
             ref = allocating_centered_ifft(mom.amplitudes, axis) * (root / grid.dx)
             assert back.amplitudes.tobytes() == ref.tobytes()
+
+
+GRID16 = Grid1D(16, 10.0)
+
+
+def two_axes():
+    return product_state(gaussian_state(GRID16, "B"), gaussian_state(GRID16, "C"))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ho_eigenstate(GRID16, "B", 2), ValueError, "only levels 0 and 1 are provided, got 2"),
+        (lambda: with_axis_order(gaussian_state(GRID16, "B"), ("C",)), UnknownAxis, "cannot reorder"),
+        (lambda: apply_shear_phase(two_axes(), "B", "C", sign=2), ValueError, "sign must be"),
+        (lambda: product_state(two_axes(), gaussian_state(GRID16, "D")), ValueError, "single-axis"),
+    ],
+    ids=["eigenstate-level", "unknown-axis", "shear-sign", "product-of-products"],
+)
+def test_each_documented_input_error_raises_its_type(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_fidelity_reorders_the_second_state_to_the_first(grid64, rng):
+    psi = random_wavefunction([("B", grid64), ("C", grid64)], rng)
+    swapped = with_axis_order(psi, ("C", "B"))
+    assert swapped.labels != psi.labels
+    assert fidelity(psi, swapped) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(swapped, psi) == pytest.approx(1.0, abs=1e-12)

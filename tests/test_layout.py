@@ -14,7 +14,8 @@ Every module-level function of the package has a caller inside it or is
 re-exported by the root: code that only the tests use lives in the tests.
 The quantum frame change reads its lattice permutation from
 ``qrf.classical.frame_map``, the one perspective map, and builds no strided
-view of its own.
+view of its own.  Each input rule is raised from one function: the frame-index
+range, the oscillator eigenstate's level and width, and the time step.
 """
 
 import ast
@@ -123,8 +124,8 @@ def test_representation_restore_loop_lives_in_grids(path):
             )
 
 
-def _fft_users(tree, module):
-    """Qualified names of the functions of a module that read ``np.fft``."""
+def _users(tree, module, matches):
+    """Qualified names of the functions of a module holding a node that ``matches``."""
     users = set()
 
     def visit(node, scope):
@@ -132,17 +133,21 @@ def _fft_users(tree, module):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == "fft"
-                and isinstance(child.value, ast.Name)
-                and child.value.id in ("np", "numpy")
-            ):
+            if matches(child):
                 users.add(".".join(scope))
             visit(child, scope)
 
     visit(tree, (module,))
     return users
+
+
+def _reads_fft(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fft"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
 
 
 def test_the_fft_has_exactly_four_callers():
@@ -153,7 +158,7 @@ def test_the_fft_has_exactly_four_callers():
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
                 assert "fft" not in (node.module or "") and "fft" not in names, name
-    users = set().union(*(_fft_users(tree, name) for name, tree in trees.items()))
+    users = set().union(*(_users(tree, name, _reads_fft) for name, tree in trees.items()))
     assert users == {
         "grids.change_representation",
         "physical.GridHamiltonian._strang_steps",
@@ -266,3 +271,33 @@ def test_the_quantum_frame_change_reads_frame_map():
     assert any(any(_calls(node, "frame_map")) for node in readers), (
         "momentum_substitution derives its permutation by hand"
     )
+
+
+def _raises_message(text):
+    def matches(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        strings = (n.value for n in ast.walk(node.exc) if isinstance(n, ast.Constant))
+        return any(isinstance(value, str) and text in value for value in strings)
+
+    return matches
+
+
+def _constructs(name):
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+@pytest.mark.parametrize(
+    "matches, owner",
+    [
+        (_raises_message("out of range for"), "classical._check_frame"),
+        (_raises_message("only levels 0 and 1 are provided"), "grids._check_eigenstate"),
+        (_raises_message("alpha must be positive and finite"), "grids._check_eigenstate"),
+        (_constructs("InvalidStep"), "dynamics._step_count"),
+    ],
+    ids=["frame-index", "eigenstate-level", "eigenstate-width", "time-step"],
+)
+def test_each_input_rule_is_raised_from_one_function(matches, owner):
+    trees = {path.stem: _tree(path) for path in SOURCES}
+    users = set().union(*(_users(tree, name, matches) for name, tree in trees.items()))
+    assert users == {owner}, f"the rule is written in {sorted(users)}, not once in {owner}"

@@ -33,6 +33,33 @@ class TestAlgebra:
         )
         assert image == expected
 
+    def test_power_zero_is_the_constant(self):
+        assert Observable.position("B", 0) == Observable.constant(1.0)
+        assert Observable.momentum("B", 0) == Observable.constant(1.0)
+        assert Observable.position("B") ** 0 == Observable.constant(1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Observable.position("B", -1),
+            lambda: Observable.momentum("B", -2),
+            lambda: Observable.position("B", 2.5),
+            lambda: Observable({((("B", "q"), 0),): 1.0}),
+            lambda: Observable({((("B", "q"), 1), (("C", "p"), -1)): 1.0}),
+            lambda: Observable({((("B", "p"), 1.0),): 1.0}),
+        ],
+        ids=["position-negative", "momentum-negative", "fractional", "zero-in-a-monomial",
+             "negative-second-factor", "float-power"],
+    )
+    def test_factor_powers_must_be_positive_integers(self, build):
+        # q^-1 once read as q^0, the identity; q^2.5 ended in "amplitudes must be finite"
+        with pytest.raises(ValueError, match="factor powers must be positive integers"):
+            build()
+
+    def test_negative_observable_power_is_rejected(self):
+        with pytest.raises(ValueError, match="negative powers are not defined"):
+            Observable.position("B") ** -1
+
     def test_hermiticity_flag(self):
         assert Observable.position("B").is_hermitian()
         assert not Observable({((("B", "q"), 1),): 1j}).is_hermitian()

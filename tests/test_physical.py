@@ -34,6 +34,8 @@ from qrf.grids import (
 )
 from qrf.observables import Observable
 from qrf.physical import (
+    GridHamiltonian,
+    PhysicalState,
     momentum_substitution,
     physical_inner_product,
     physical_state,
@@ -136,7 +138,7 @@ class TestReexpress:
         assert moved.norm() == pytest.approx(psi.norm(), abs=1e-14)
 
     def test_errors_keep_their_order(self, grid64, rng):
-        # the state's tag, then the same frame, then the frame's range: never frame_map's IndexError
+        # the state's tag, then the same frame, then the frame's range: never frame_map's message
         psi = random_wavefunction([("B", grid64), ("C", grid64)], rng, frame=FRAME_A)
         with pytest.raises(ValueError, match="quantum reductions are defined for three particles"):
             momentum_substitution(psi, FrameLabel(3))
@@ -466,3 +468,41 @@ class TestTrivializationFamily:
         state = random_state(grid64, rng)
         with pytest.raises(KOutOfRange):
             trivialization_family_check(state, (grid64.n // 2 + 3) * grid64.dp)
+
+
+GRID16 = Grid1D(16, 10.0)
+AXES_A = [("B", GRID16), ("C", GRID16)]
+
+
+def ground_a(representation=MOMENTUM, scale=1.0, grid=GRID16):
+    """The frame-A product ground state, times ``scale``."""
+    psi = product_state(ho_eigenstate(grid, "B", 0), ho_eigenstate(grid, "C", 0), frame=FRAME_A)
+    psi = to_representation(psi, representation)
+    return psi._with(psi.amplitudes * scale)
+
+
+def free_hamiltonian_a(system=ParticleSystem(3), axes=AXES_A):
+    return reduced_quantum_hamiltonian(FRAME_A, FREE_POTENTIAL, system, axes)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PhysicalState(ground_a(POSITION)), ValueError, "momentum representation"),
+        (lambda: PhysicalState(ground_a(scale=2.0)), ValueError, "not normalized"),
+        (lambda: GridHamiltonian(AXES_A, np.zeros((16, 8)), np.zeros((16, 16))),
+         ValueError, "do not match the subsystem shape"),
+        (lambda: free_hamiltonian_a().apply(gaussian_state(GRID16, "B")),
+         GridMismatch, "this Hamiltonian's grids"),
+        (lambda: free_hamiltonian_a().evolve(ground_a(grid=Grid1D(32, 10.0)), 1.0),
+         GridMismatch, "this Hamiltonian's grids"),
+        (lambda: free_hamiltonian_a(ParticleSystem(4)), ValueError, "fixed to three particles"),
+    ],
+    ids=[
+        "position-canonical", "unnormalized-canonical", "hamiltonian-shape",
+        "foreign-state-apply", "foreign-state-evolve", "four-particles",
+    ],
+)
+def test_each_documented_input_error_raises_its_type(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -475,6 +475,17 @@ class TestNegativity:
 
 
 class TestEntanglementEntropy:
+    @pytest.mark.parametrize("cut", ["B", "C"])
+    def test_density_matrix_entropy_matches_the_schmidt_entropy(self, grid128, cut):
+        switched = switched_product(grid128, 0, 1, alpha_a=0.5)
+        entropy = partial_trace(switched, cut).entropy()
+        assert entropy > 0.1
+        assert abs(entropy - entanglement_entropy(switched, cut)) <= 1e-10
+
+    def test_pure_state_density_matrix_has_zero_entropy(self, grid128):
+        rho = density_matrix_from_pure(ho_eigenstate(grid128, "B", 1))
+        assert abs(rho.entropy()) <= 1e-10
+
     def test_product_state_is_unentangled(self, grid128):
         psi = product_state(
             ho_eigenstate(grid128, "B", 0), ho_eigenstate(grid128, "C", 1), frame=FRAME_A
@@ -512,3 +523,34 @@ class TestWignerGridType:
     def test_value_lookup(self):
         grid = closed_form_eigenstate_wigner(0, 1.0)
         assert grid.value_at(0.0, 0.0) == pytest.approx(1 / np.pi, abs=1e-9)
+
+
+GRID16 = Grid1D(16, 10.0)
+
+
+def one_axis():
+    return gaussian_state(GRID16, "B")
+
+
+def two_axes():
+    return product_state(gaussian_state(GRID16, "B"), gaussian_state(GRID16, "C"))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: DensityMatrix(np.eye(8) / 8, GRID16), InvalidDensityMatrix, "does not match the grid size 16"),
+        (lambda: density_matrix_from_pure(two_axes()), ValueError, "expected a state with 1 axes, got 2"),
+        (lambda: partial_trace(one_axis(), "B"), ValueError, "expected a state with 2 axes, got 1"),
+        (lambda: entanglement_entropy(one_axis(), "B"), ValueError, "with 2 axes"),
+        (lambda: transformed_joint_wigner(0, 2, 1.0, 1.0), ValueError, "only levels 0 and 1"),
+        (lambda: transformed_joint_wigner(0, 1, 1.0, np.inf), ValueError, "alpha must be positive and finite"),
+    ],
+    ids=[
+        "density-shape", "pure-two-axes", "trace-one-axis", "entropy-one-axis",
+        "joint-level-2", "joint-infinite-width",
+    ],
+)
+def test_each_documented_input_error_raises_its_type(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
