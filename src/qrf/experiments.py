@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .classical import FRAME_A, FRAME_C, FrameLabel, ReducedPhasePoint, frame_map
 from .dynamics import OscillatorParams, _step_count, analytic_oscillator_frame_c, integrate_reduced
-from .errors import ConfigError, NumericalFailure, UnknownFigure
+from .errors import ConfigError, InvalidStep, NumericalFailure, UnknownFigure
 from .grids import (
     BOUNDARY_DECAY_TOL,
     MOMENTUM,
@@ -404,12 +404,16 @@ def _run_classical_trajectory(config: ExperimentConfig, v: dict):
             m_a=v["m_a"], m_b=v["m_b"], m_c=v["m_c"], **springs,
             a0=v["a0"], b0=v["b0"], phi_a=v["phi_a"], phi_b=v["phi_b"],
         )
-    steps = v["t_final"] / v["dt"]  # inf once the ratio overflows
-    if not (steps + 1 <= MAX_TRAJECTORY_ROWS):
+    try:
+        rows = _step_count(v["t_final"], v["dt"]) + 1
+    except InvalidStep:  # t_final / dt overflows; both are positive and finite
+        rows = math.inf
+    if not (rows <= MAX_TRAJECTORY_ROWS):
         raise ConfigError(
-            f"t_final / dt = {steps:.3g} asks for more than {MAX_TRAJECTORY_ROWS} rows"
+            f"t_final / dt = {v['t_final'] / v['dt']:.3g} asks for more than "
+            f"{MAX_TRAJECTORY_ROWS} rows"
         )
-    times = np.arange(_step_count(v["t_final"], v["dt"]) + 1) * v["dt"]
+    times = np.arange(rows) * v["dt"]
     x_a, x_b = analytic_oscillator_frame_c(params, times)
     # the C -> A map of the positions, which no momentum enters
     q_b, q_c = frame_map(np.array((x_a, x_b)), np.zeros(2), FRAME_C, FRAME_A)[0]

@@ -149,8 +149,8 @@ class Observable:
     __rmul__ = __mul__
 
     def __pow__(self, power: int):
-        if power < 0:
-            raise ValueError("negative powers are not defined")
+        if not (isinstance(power, Integral) and power >= 0):
+            raise ValueError(f"non-integer and negative powers are not defined, got {power!r}")
         result = Observable.constant(1.0)
         for _ in range(power):
             result = result * self

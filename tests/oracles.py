@@ -22,8 +22,8 @@ per-spring gradient loop, the earlier spring gradient that wrote K @ q into
 a zeroed array, and the leapfrog that evaluates the force twice per Strang
 substep; the coordinate functions q_i and p_i fill the bracket tables.  The
 spring propagator is held to that leapfrog and to a long-double one to
-rounding, and byte for byte to ``fresh_array_spring_trajectory``, its own
-recurrence with a fresh array per sum; ``without_stiffness`` sends a spring
+rounding, and byte for byte to ``fresh_array_spring_trajectory``, its one
+doubling with a fresh array per sum; ``without_stiffness`` sends a spring
 potential through the loop that the leapfrog checks bit for bit, and
 ``acceleration_identity_check`` holds second-differenced trajectories to
 the potential's gradient.  The production code must also match these
@@ -66,7 +66,7 @@ from qrf.classical import (
     frame_map,
     pin_frame,
 )
-from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, PROPAGATOR_BLOCK, integrate_reduced, kinetic_matrix
+from qrf.dynamics import _YOSHIDA_W0, _YOSHIDA_W1, integrate_reduced, kinetic_matrix
 from qrf.errors import QRFError
 from qrf.grids import MOMENTUM, POSITION, Grid1D, WaveFunction, _alternating, to_representation
 from qrf.observables import Observable
@@ -614,20 +614,18 @@ def longdouble_leapfrog(initial, potential, system, t_final, dt, order=2):
 def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order=2):
     """Sampled (q, p) of ``integrate_reduced``'s spring propagator, one fresh array per sum.
 
-    The same increment D_1, the same doubling D_{k+i} = D_k + (D_i + D_k D_i)
-    to D_0 = 0, D_1 ... D_64, the same block heads
-    z_{64(k+i)} = z_{64i} + E_k z_{64i} with E_1 = D_64 and
-    E_{2k} = E_k + (E_k + E_k E_k), the same samples
-    z_{64b+j} = z_{64b} + D_j z_{64b} for j = 0 ... 63, and z_0 kept as given,
-    as the production propagator, but every product and sum allocates its
-    result, and each doubling round is concatenated to the stack so far,
-    instead of writing into a preallocated array.  Each sum has the same two
-    operands, so the production path must match it byte for byte.  D_1 is
-    built with the kicks unrolled across the substep boundaries, a closing
-    and an opening half kick back to back.  That order is kept on purpose:
-    the production loop, a half kick, a drift and a half kick per substep, is
-    checked against a second spelling of the same schedule.  The span checks
-    are left out.
+    The same increment E_1 = M - I, the same rounds
+    z_{k+j} = z_j + E_k z_j over every sample z_j so far, with
+    E_{2k} = E_k + (E_k + E_k E_k), and z_0 kept as given, as the production
+    propagator, but every product and sum allocates its result, and each
+    round is concatenated to the samples so far, instead of writing into a
+    preallocated array.  Each sum has the same two operands, so the
+    production path must match it byte for byte.  E_1 is built with the
+    kicks unrolled across the substep boundaries, a closing and an opening
+    half kick back to back.  That order is kept on purpose: the production
+    loop, a half kick, a drift and a half kick per substep, is checked
+    against a second spelling of the same schedule.  The span checks are
+    left out.
     """
     steps = int(round(t_final / dt))
     others = list(initial.labels)
@@ -655,20 +653,12 @@ def fresh_array_spring_trajectory(initial, potential, system, t_final, dt, order
         flow(b)
     kick(0.5 * sizes[-1])
 
-    increments = np.stack([np.zeros_like(dz), dz])
-    while len(increments) <= PROPAGATOR_BLOCK:
-        k = len(increments) - 1
-        small = increments[1 : min(k, PROPAGATOR_BLOCK - k) + 1]
-        increments = np.concatenate([increments, increments[k] + (small + np.matmul(increments[k], small))])
-    blocks = steps // PROPAGATOR_BLOCK + 1
-    z0 = np.concatenate([initial.q_rel, initial.p_rel])
-    heads, e = z0[None], increments[-1]
-    while len(heads) < blocks:
-        earlier = heads[: blocks - len(heads)]
-        heads = np.concatenate([heads, earlier + np.matmul(earlier, e.T)])
+    z, e = np.concatenate([initial.q_rel, initial.p_rel])[:, None], dz
+    while z.shape[1] <= steps:
+        earlier = z[:, : steps + 1 - z.shape[1]]
+        z = np.concatenate([z, earlier + np.matmul(e, earlier)], axis=1)
         e = e + (e + np.matmul(e, e))
-    samples = heads.T[:, :, None] + np.matmul(heads, increments[:-1].transpose(1, 2, 0))
-    z = np.concatenate([z0[:, None], samples.reshape(2 * m, -1)[:, 1 : steps + 1]], axis=1).T
+    z = z.T
     return z[:, :m], z[:, m:]
 
 

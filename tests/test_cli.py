@@ -373,6 +373,20 @@ class TestCommandLine:
         assert len(lines) == 1 and all(key in lines[0] for key in keys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("t_final, code", [("0.104", 0), ("0.116", 2)])
+    def test_row_cap_counts_the_rounded_steps(self, tmp_path, capsys, monkeypatch, t_final, code):
+        # t_final / dt = 10.4 rounds to 10 steps, 11 rows, within a cap of 11;
+        # 11.6 rounds to 12 steps, 13 rows
+        monkeypatch.setattr(experiments, "MAX_TRAJECTORY_ROWS", 11)
+        path = tmp_path / "cap.cfg"
+        path.write_text(trajectory_config(t_final=t_final, dt="0.01") + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == code
+        if code == 0:
+            rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+            assert len(rows) == 11
+        else:
+            assert not (tmp_path / "out").exists()
+
     def test_too_coarse_suite_grid_exits_2_before_any_random_draw(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -18,7 +18,6 @@ from qrf.classical import (
     spring_potential,
 )
 from qrf.dynamics import (
-    PROPAGATOR_BLOCK,
     OscillatorParams,
     Trajectory,
     analytic_oscillator_frame_a,
@@ -314,7 +313,7 @@ class TestSpringPropagator:
             assert len(traj) == len(q) == 10001
             assert max(np.max(np.abs(traj.q - q)), np.max(np.abs(traj.p - p))) <= 2e-13
 
-    @pytest.mark.parametrize("steps", [37, 2 * PROPAGATOR_BLOCK + 5, 1000])
+    @pytest.mark.parametrize("steps", [37, 133, 1000])
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_matches_fresh_array_recurrence_byte_for_byte(self, n, order, steps, rng):
@@ -327,10 +326,10 @@ class TestSpringPropagator:
         assert len(traj) == steps + 1
         assert traj.q.tobytes() == q.tobytes() and traj.p.tobytes() == p.tobytes()
 
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 128, 129, 130])
-    def test_every_block_length_matches_the_loop(self, steps, rng):
-        # partial last blocks and exact multiples of the block length, from
-        # one, two and three block heads
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 130, 1023, 1024, 1025])
+    def test_every_doubling_boundary_matches_the_loop(self, steps, rng):
+        # step counts one below, at and one above a power of two: the last
+        # doubling round fills up to it, adds one sample, or adds two
         system = ParticleSystem(3, masses=ENSEMBLE_MASSES)
         potential = spring_potential(ENSEMBLE_SPRINGS)
         rp = ReducedPhasePoint(FRAME_C, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
