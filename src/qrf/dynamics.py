@@ -276,14 +276,14 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
     kick, drift, half kick for each substep size) on the identity with only
     the increment stored, so entries of size dt keep their relative
     precision.  The samples follow by doubling: with E_k = M^k - I, a round
-    adds z_{k+j} = z_j + E_k z_j for every sample z_j so far, then squares
-    E_{2k} = E_k + (E_k + E_k E_k).  No Python loop runs per step: the numpy
-    calls grow with log(steps).  Plain powers M^j never form: a sample adds
-    its base point to a small product, each doubling of E sums its two small
-    terms before the larger one, and z_0 is written as given, never summed.
-    Each product is written straight into the samples, so besides them this
-    holds only one E at a time and the temporaries of its doubling, however
-    many steps there are.
+    adds z_{k+j} = z_j + E_k z_j for every sample z_j so far, then, if samples
+    remain, forms E_{2k} = E_k + (E_k + E_k E_k).  No Python loop runs per
+    step: the numpy calls grow with log(steps).  Plain powers M^j never form:
+    a sample adds its base point to a small product, each doubling of E sums
+    its two small terms before the larger one, and z_0 is written as given,
+    never summed.  Each product is written straight into the samples, so
+    besides them this holds only one E at a time and the temporaries of its
+    doubling, however many steps there are.
 
     The samples come back particle-first, shape (2 (N - 1), steps + 1), so
     each coordinate's history is one contiguous row: the trajectory's
@@ -310,7 +310,8 @@ def _spring_propagator(z0, stiffness, drift, sizes, steps: int) -> np.ndarray:
         np.matmul(e, z[:, :i], out=z[:, k : k + i])
         z[:, k : k + i] += z[:, :i]
         k += i
-        e = e + (e + np.matmul(e, e))  # E_{2k}
+        if k <= steps:
+            e = e + (e + np.matmul(e, e))  # E_{2k}
     return z
 
 

@@ -12,15 +12,15 @@ Discretization conventions (fixed throughout the library):
       psi~(p_k) = dx / sqrt(2 pi) * sum_j exp(-i p_k x_j) psi(x_j),
       norm^2    = sum |amplitude|^2 * cell volume  (dx or dp per axis).
 
-  On the centered grids this is an exact unitary (discrete Parseval), computed
-  with one FFT and two alternating-sign vectors.
+  On the centered grids this is an exact unitary (discrete Parseval).  Every
+  representation change is one ``_transform``: an FFT per changing axis.
 * States are expected to decay at the grid boundary in whichever
   representation they are examined; ``boundary_ratio`` measures this and the
   experiment runners treat a violation as a box-adequacy failure.
 
 Wavefunctions are immutable values: every operation returns a new instance.
 How a value holds its arrays is one rule for the whole library, stated at
-``qrf.classical._hold``.
+``qrf.classical._hold``.  Overlaps keep their bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class WaveFunction:
         expected = tuple(grid.n for _, grid in subsystems)
         if arr.shape != expected:
             raise ValueError(f"amplitude shape {arr.shape} does not match grids {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
+        with np.errstate(all="ignore"):  # a finite sum has no inf or NaN term
+            if not (math.isfinite(abs(arr.sum())) or np.all(np.isfinite(arr))):
+                raise ValueError("amplitudes must be finite")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -204,46 +205,49 @@ class WaveFunction:
         return f"WaveFunction({axes}{tag})"
 
 
+def _transform(psi: WaveFunction, targets: tuple[str, ...]) -> WaveFunction:
+    """psi with axis i in representation ``targets[i]``, all changes in one fresh array.
+
+    The centered DFT (n % 4 == 0) of the changing axes: one pass by the product
+    of their alternating signs, each axis's FFT in place followed by its scale,
+    and the closing sign pass just before the last scale.  So the values are
+    those of one axis at a time, and one axis keeps its bytes.  1-d
+    ``fft(out=)`` only: ``fft2(out=)`` is unreliable on numpy 2.4.
+    """
+    if not set(targets) <= {POSITION, MOMENTUM}:
+        raise ValueError(f"unknown representation in {targets}")
+    axes = [axis for axis, rep in enumerate(psi.representation) if rep != targets[axis]]
+    if not axes:
+        return psi
+    signs = math.prod(_along_axis(_alternating(psi.subsystems[a][1].n), psi.ndim, a) for a in axes)
+    arr = psi.amplitudes * signs
+    for axis in axes:
+        dx, forward = psi.subsystems[axis][1].dx, targets[axis] == MOMENTUM
+        (np.fft.fft if forward else np.fft.ifft)(arr, axis=axis, out=arr)
+        if axis == axes[-1]:
+            arr *= signs
+        arr *= dx / _SQRT_2PI if forward else _SQRT_2PI / dx
+    return psi._with(arr, representation=targets)
+
+
 def change_representation(psi: WaveFunction, label: str, target: str) -> WaveFunction:
     """Fourier-transform one axis between position and momentum representations.
 
     Unitary on the centered grids: the norm and round trips are exact up to
     FFT rounding.
     """
-    if target not in (POSITION, MOMENTUM):
-        raise ValueError(f"unknown representation {target!r}")
     axis = psi.axis(label)
-    if psi.representation[axis] == target:
-        return psi
-    grid = psi.subsystems[axis][1]
-    if target == MOMENTUM:
-        transform, scale = np.fft.fft, grid.dx / _SQRT_2PI
-    else:
-        transform, scale = np.fft.ifft, _SQRT_2PI / grid.dx
-    # the DFT centered at n/2 on both sides (n % 4 == 0), in place on one fresh
-    # array: 1-d ``fft(out=)`` only, since ``fft2(out=)`` is unreliable on numpy 2.4
-    signs = _along_axis(_alternating(grid.n), psi.ndim, axis)
-    arr = psi.amplitudes * signs
-    transform(arr, axis=axis, out=arr)
-    arr *= signs
-    arr *= scale
-    representation = list(psi.representation)
-    representation[axis] = target
-    return psi._with(arr, representation=tuple(representation))
+    return _transform(psi, psi.representation[:axis] + (target,) + psi.representation[axis + 1 :])
 
 
 def to_representation(psi: WaveFunction, target: str) -> WaveFunction:
     """Bring every axis into the same representation."""
-    for label in psi.labels:
-        psi = change_representation(psi, label, target)
-    return psi
+    return _transform(psi, (target,) * psi.ndim)
 
 
 def to_matching(psi: WaveFunction, template: WaveFunction) -> WaveFunction:
-    """Convert psi's axes into the template's representation tags."""
-    for label, rep in zip(template.labels, template.representation):
-        psi = change_representation(psi, label, rep)
-    return psi
+    """Convert psi's axes into the template's representation tags, matched by label."""
+    return _transform(psi, tuple(template.rep(label) for label in psi.labels))
 
 
 def _check_compatible(psi: WaveFunction, phi: WaveFunction) -> None:
@@ -257,18 +261,27 @@ def _check_compatible(psi: WaveFunction, phi: WaveFunction) -> None:
         )
 
 
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """``np.vdot(a, b)`` as numpy's pairwise sum of the products.
+
+    OpenBLAS splits vdot's sum across threads, so its bits follow the thread
+    count; the pairwise sum does not, and it is nearer the exact sum."""
+    terms = np.conj(a.reshape(-1))
+    terms *= b.reshape(-1)
+    return complex(terms.sum())
+
+
 def inner_product(psi: WaveFunction, phi: WaveFunction) -> complex:
     """<psi|phi>, conjugate-linear in the first argument."""
     _check_compatible(psi, phi)
-    return complex(np.vdot(psi.amplitudes, phi.amplitudes) * psi.cell_volume())
+    return _vdot(psi.amplitudes, phi.amplitudes) * psi.cell_volume()
 
 
 def fidelity(psi: WaveFunction, phi: WaveFunction) -> float:
-    """Phase-insensitive overlap |<psi|phi>|^2 of the normalized states."""
-    psi = to_representation(psi, MOMENTUM)
-    phi = to_representation(phi, MOMENTUM)
+    """Phase-insensitive overlap |<psi|phi>|^2 of the normalized states, in psi's tags."""
     if psi.labels != phi.labels:
         phi = with_axis_order(phi, psi.labels)
+    phi = to_matching(phi, psi)
     overlap = abs(inner_product(psi, phi)) ** 2
     return overlap / (psi.norm() ** 2 * phi.norm() ** 2)
 
@@ -280,20 +293,26 @@ def apply_shear_phase(
 
     With pos_axis read in position and mom_axis in momentum this is a pure
     phase, hence exactly unitary; in full position representation it shifts
-    the mom_axis argument by the pos_axis coordinate (modulo the box).
-    The output keeps the input's representation tags.
+    the mom_axis argument by the pos_axis coordinate (modulo the box).  Both
+    axes share one grid (``GridMismatch`` otherwise), so with centred indices
+    m, x_j p_k = 2 pi m_j m_k / n: the phase is an n-th root of unity.  The
+    output keeps the input's representation tags.
     """
     if pos_axis == mom_axis:
         raise AxisClash(f"shear needs two distinct axes, got {pos_axis!r} twice")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    work = change_representation(psi, pos_axis, POSITION)
-    work = change_representation(work, mom_axis, MOMENTUM)
-    i = work.axis(pos_axis)
-    j = work.axis(mom_axis)
-    x = _along_axis(work.subsystems[i][1].positions(), work.ndim, i)
-    p = _along_axis(work.subsystems[j][1].momenta(), work.ndim, j)
-    return to_matching(work._with(work.amplitudes * np.exp(1j * sign * x * p)), psi)
+    i, j = psi.axis(pos_axis), psi.axis(mom_axis)
+    grid = psi.subsystems[i][1]
+    if psi.subsystems[j][1] != grid:
+        raise GridMismatch(f"shear axes {pos_axis!r} and {mom_axis!r} lie on different grids")
+    tags = {i: POSITION, j: MOMENTUM}
+    work = _transform(psi, tuple(tags.get(k, rep) for k, rep in enumerate(psi.representation)))
+    m = np.arange(grid.n) - grid.n // 2
+    roots = np.exp((sign * 2j * math.pi / grid.n) * np.arange(grid.n))
+    phase = roots[(_along_axis(m, psi.ndim, i) * _along_axis(m, psi.ndim, j)) & (grid.n - 1)]
+    np.multiply(work.amplitudes, phase, out=phase)  # in place: no third n^2 array
+    return to_matching(work._with(phase), psi)
 
 
 def reflect_axis(psi: WaveFunction, label: str) -> WaveFunction:

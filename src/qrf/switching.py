@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from .classical import FrameLabel
 from .grids import (
     WaveFunction,
+    _transform,
     apply_shear_phase,
-    change_representation,
     reflect_axis,
     relabel_axis,
     with_axis_order,
@@ -64,10 +64,9 @@ def switch_frame(psi: WaveFunction, sw: FrameSwitch) -> WaveFunction:
     reduction_grid(psi, sw.from_frame)
     if sw.backend == "compositional":
         out = momentum_substitution(psi, sw.to_frame)
-        # restore the caller's representation tags on the relabeled axes
-        out = change_representation(out, sw.from_frame.name, psi.rep(sw.to_frame.name))
-        out = change_representation(out, sw.remaining, psi.rep(sw.remaining))
-        return out
+        # the caller's tags: the old frame's axis takes those of the new frame's
+        origin = {sw.from_frame.name: sw.to_frame.name}
+        return _transform(out, tuple(psi.rep(origin.get(label, label)) for label in out.labels))
     sheared = apply_shear_phase(psi, pos_axis=sw.to_frame.name, mom_axis=sw.remaining, sign=1)
     swapped = reflect_axis(sheared, sw.to_frame.name)
     renamed = relabel_axis(swapped, sw.to_frame.name, sw.from_frame.name, frame=sw.to_frame)

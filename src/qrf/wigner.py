@@ -63,6 +63,7 @@ from .grids import (
     _alternating,
     _along_axis,
     _check_eigenstate,
+    _vdot,
     to_representation,
 )
 from .physical import reduced_labels
@@ -137,7 +138,7 @@ class DensityMatrix:
 
     def purity(self) -> float:
         """tr rho^2, as the sum of |rho_ab|^2 (equal for Hermitian rho)."""
-        return float(np.vdot(self.matrix, self.matrix).real)
+        return _vdot(self.matrix, self.matrix).real
 
     def entropy(self) -> float:
         """Von Neumann entropy in nats."""

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qrf
 from qrf import experiments
 from qrf.cli import main
 from qrf.errors import ConfigError, UnknownFigure
@@ -612,3 +616,21 @@ def test_fuzzed_config_exits_0_2_or_3(tmp_path, capsys, body):
         assert len(lines) == 1 and lines[0].startswith("qrf: "), (body, lines)
     if code == 2:
         assert not (run / "out").exists(), body
+
+
+def test_suite_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 128^2, np.vdot's sum split across OpenBLAS threads and moved three values
+    reports = []
+    for threads in ("1", "2"):
+        config = tmp_path / f"threads{threads}.cfg"
+        out = tmp_path / f"out{threads}"
+        config.write_text(f"kind = invariant-suite\ngrid_n = 128\ngrid_length = 24\noutput_dir = {out}\n")
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(qrf.__file__).parents[1]),
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+        )
+        subprocess.run([sys.executable, "-m", "qrf.cli", "run", str(config)], env=env, check=True, capture_output=True)
+        reports.append((out / "suite_report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import qrf
 from qrf.classical import FRAME_A, FRAME_C
 from qrf.errors import AxisClash, GridMismatch, UnknownAxis
 from qrf.grids import (
@@ -21,6 +27,7 @@ from qrf.grids import (
     product_state,
     random_wavefunction,
     reflect_axis,
+    to_matching,
     to_representation,
     with_axis_order,
 )
@@ -331,8 +338,15 @@ def two_axes():
         (lambda: with_axis_order(gaussian_state(GRID16, "B"), ("C",)), UnknownAxis, "cannot reorder"),
         (lambda: apply_shear_phase(two_axes(), "B", "C", sign=2), ValueError, "sign must be"),
         (lambda: product_state(two_axes(), gaussian_state(GRID16, "D")), ValueError, "single-axis"),
+        (
+            lambda: apply_shear_phase(
+                product_state(gaussian_state(GRID16, "B"), gaussian_state(Grid1D(32, 10.0), "C")), "B", "C"
+            ),
+            GridMismatch,
+            "different grids",
+        ),
     ],
-    ids=["eigenstate-level", "unknown-axis", "shear-sign", "product-of-products"],
+    ids=["eigenstate-level", "unknown-axis", "shear-sign", "product-of-products", "shear-grids"],
 )
 def test_each_documented_input_error_raises_its_type(build, error, message):
     with pytest.raises(error, match=message):
@@ -345,3 +359,91 @@ def test_fidelity_reorders_the_second_state_to_the_first(grid64, rng):
     assert swapped.labels != psi.labels
     assert fidelity(psi, swapped) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(swapped, psi) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFusedTransform:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_one_axis_at_a_time(self, n):
+        grid = Grid1D(n, 24.0)
+        psi = random_wavefunction([("B", grid), ("C", grid)], np.random.default_rng(n))
+        mom = to_representation(psi, MOMENTUM)
+        sequential = change_representation(change_representation(psi, "B", MOMENTUM), "C", MOMENTUM)
+        assert np.array_equal(mom.amplitudes, sequential.amplitudes)
+        sequential = change_representation(change_representation(mom, "B", POSITION), "C", POSITION)
+        assert np.array_equal(to_representation(mom, POSITION).amplitudes, sequential.amplitudes)
+        # mixed tags: (momentum, position) into (position, momentum), both axes change
+        mixed = change_representation(psi, "B", MOMENTUM)
+        template = change_representation(psi, "C", MOMENTUM)
+        matched = to_matching(mixed, template)
+        sequential = change_representation(change_representation(mixed, "B", POSITION), "C", MOMENTUM)
+        assert matched.representation == template.representation
+        assert np.array_equal(matched.amplitudes, sequential.amplitudes)
+
+    def test_fidelity_does_not_depend_on_the_second_states_tags(self, grid128, rng):
+        psi = random_wavefunction([("B", grid128), ("C", grid128)], rng)
+        phi = random_wavefunction([("B", grid128), ("C", grid128)], rng)
+        same = fidelity(psi, phi)
+        mom = to_representation(phi, MOMENTUM)
+        for other in (mom, change_representation(phi, "C", MOMENTUM), with_axis_order(mom, ("C", "B"))):
+            assert abs(fidelity(psi, other) - same) <= 1e-15
+            # computed in the first state's tags: here momentum, with its own rounding
+            assert abs(fidelity(other, psi) - same) <= 1e-14
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shear_phase_is_the_exponential(self, n, sign):
+        grid = Grid1D(n, 24.0)
+        x, p = grid.positions(), grid.momenta()
+        # exp(i x p) in float64 rounds its argument, up to pi n / 2 in size, by about
+        # eps |x p|: 1.1e-13 at n = 256.  The table's arguments stay below 2 pi.
+        bound = 4 * np.finfo(float).eps * np.pi * n / 2
+        ld = np.longdouble  # wider than float64 on x86, where it checks the table to 2e-15
+        exact = np.finfo(ld).eps < np.finfo(float).eps
+        x_ld = (np.arange(n) - n // 2) * (ld(grid.length) / n)
+        p_ld = (np.arange(n) - n // 2) * (8 * np.arctan(ld(1)) / ld(grid.length))
+        for tags, pos, mom, xp, xp_ld in (
+            ((POSITION, MOMENTUM), "B", "C", np.multiply.outer(x, p), np.multiply.outer(x_ld, p_ld)),
+            ((MOMENTUM, POSITION), "C", "B", np.multiply.outer(p, x), np.multiply.outer(p_ld, x_ld)),
+        ):
+            ones = WaveFunction([("B", grid), ("C", grid)], np.ones((n, n)), tags)
+            phase = apply_shear_phase(ones, pos, mom, sign)
+            assert phase.representation == tags
+            assert np.max(np.abs(phase.amplitudes - np.exp(1j * sign * xp))) <= bound
+            if exact:
+                reference = np.cos(xp_ld) + 1j * sign * np.sin(xp_ld)
+                assert np.max(np.abs(phase.amplitudes - reference)) <= 2e-15
+
+
+def test_a_finite_state_whose_sum_overflows_is_accepted(grid64):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = np.full(64, complex(1e308, -1e308))
+        assert np.array_equal(WaveFunction([("B", grid64)], huge, POSITION).amplitudes, huge)
+        for bad in ([np.nan], [np.inf], [-np.inf], [complex(0, np.inf)], [np.inf, -np.inf]):
+            amp = np.ones(64, dtype=complex)
+            amp[: len(bad)] = bad
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                WaveFunction([("B", grid64)], amp, POSITION)
+
+
+_OVERLAPS = """
+import numpy as np
+from qrf.grids import Grid1D, inner_product, random_wavefunction
+from qrf.wigner import partial_trace
+for n in (128, 256):
+    grid = Grid1D(n, 24.0)
+    psi, phi = (random_wavefunction([("B", grid), ("C", grid)], np.random.default_rng(s)) for s in (1, 2))
+    value = inner_product(psi, phi)
+    print(value.real.hex(), value.imag.hex(), partial_trace(psi, "B").purity().hex())
+"""
+
+
+def test_inner_products_do_not_depend_on_the_blas_thread_count():
+    # np.vdot's OpenBLAS sum split across threads and moved the last bits at 128^2 and 256^2
+    src = str(Path(qrf.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _OVERLAPS], env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 6

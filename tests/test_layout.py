@@ -1,11 +1,11 @@
 """Module layout: dense-matrix oracles live in ``tests/oracles.py``, not in the package.
 
 Exactly four package functions reach ``numpy.fft``: the one centered transform,
-``qrf.grids.change_representation``, the fused split-step loop
+``qrf.grids._transform``, the fused split-step loop
 ``GridHamiltonian._strang_steps``, and the Wigner transform's ``_half_step`` and
 ``wigner_transform``; every other representation change goes through the first.
-The caller's representation is restored by one helper,
-``qrf.grids.to_matching``.  Reduced energies, classical and quantum, are
+The caller's representation is restored in one call, by
+``qrf.grids.to_matching`` or, across a relabel, ``_transform``.  Reduced energies, classical and quantum, are
 evaluated by one broadcasting path (``qrf.dynamics.reduced_energy``), never
 point by point.  No module of the package, of the tests or of the kernel
 harness imports a name it never uses; the package root is exempt, because its
@@ -160,7 +160,7 @@ def test_the_fft_has_exactly_four_callers():
                 assert "fft" not in (node.module or "") and "fft" not in names, name
     users = set().union(*(_users(tree, name, _reads_fft) for name, tree in trees.items()))
     assert users == {
-        "grids.change_representation",
+        "grids._transform",
         "physical.GridHamiltonian._strang_steps",
         "wigner._half_step",
         "wigner.wigner_transform",
